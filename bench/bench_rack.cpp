@@ -74,7 +74,7 @@ CellResult run_cell(const scenario::RackConfig& cfg,
   CellResult res;
   res.wall_s = time_seconds([&] { res.cycles = sim.run(cfg.cycles); });
   res.trace_digest = resil::fold_trace(recorder.hashes());
-  res.state_digest = sim.snapshot().digest();
+  res.state_digest = sim.state_digest();
   std::vector<double> lats;
   for (std::size_t n = 0; n < cfg.nodes(); ++n) {
     const std::string base = "n" + std::to_string(n);

@@ -482,7 +482,7 @@ int main(int argc, char** argv) {
           liberty::resil::fold_trace(recorder->hashes());
       std::printf("digest: trace=%016llx state=%016llx cycles=%llu\n",
                   static_cast<unsigned long long>(trace_digest),
-                  static_cast<unsigned long long>(sim.snapshot().digest()),
+                  static_cast<unsigned long long>(sim.state_digest()),
                   static_cast<unsigned long long>(ran));
     }
 

@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
       ran = sim_owner->run(cfg.cycles);
       if (want_digest) {
         trace_digest = liberty::resil::fold_trace(recorder->hashes());
-        state_digest = sim_owner->snapshot().digest();
+        state_digest = sim_owner->state_digest();
       }
     }
 

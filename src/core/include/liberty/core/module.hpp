@@ -154,8 +154,17 @@ class Module {
   /// of the differential oracle in liberty_testing.
   [[nodiscard]] std::uint64_t state_digest() const {
     StateWriter w;
-    save_state(w);
-    return digest_slots(w.slots());
+    return state_digest(w);
+  }
+  /// Same digest, serialized through a caller-owned buffer that is cleared
+  /// before and after: a caller digesting many modules reuses one
+  /// allocation, and no payload reference outlives the call.
+  [[nodiscard]] std::uint64_t state_digest(StateWriter& scratch) const {
+    scratch.clear();
+    save_state(scratch);
+    const std::uint64_t h = digest_slots(scratch.slots());
+    scratch.clear();
+    return h;
   }
 
   [[nodiscard]] liberty::StatSet& stats() noexcept { return stats_; }

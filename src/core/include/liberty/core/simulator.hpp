@@ -105,6 +105,12 @@ class Simulator {
   /// inside a simulation hook.
   [[nodiscard]] KernelSnapshot snapshot() const;
 
+  /// Exactly snapshot().digest(), without building the snapshot: every
+  /// module serializes into one reused buffer and is hashed on the spot,
+  /// so nothing is retained past the call.  Same calling rule as
+  /// snapshot().
+  [[nodiscard]] std::uint64_t state_digest();
+
   /// Rewind the simulator to `snap`.  Every module's load_state must
   /// consume exactly the slots its save_state produced; statistics and
   /// cumulative transfer counts are NOT rewound (replay reproduces
@@ -138,6 +144,7 @@ class Simulator {
   Netlist& netlist_;
   std::unique_ptr<SchedulerBase> sched_;
   Cycle now_ = 0;
+  StateWriter digest_scratch_;  // state_digest()'s reused buffer
 };
 
 }  // namespace liberty::core

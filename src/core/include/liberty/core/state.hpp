@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -44,6 +45,9 @@ class StateWriter {
     return slots_;
   }
   [[nodiscard]] std::vector<Value> take() && { return std::move(slots_); }
+  /// Drop every slot but keep the capacity, so one writer can serialize
+  /// module after module without reallocating (Simulator::state_digest).
+  void clear() noexcept { slots_.clear(); }
 
  private:
   std::vector<Value> slots_;
@@ -103,18 +107,35 @@ inline void load_rng(StateReader& r, liberty::Rng& rng) {
 /// their states render identically — pointer identity never leaks in.
 [[nodiscard]] std::uint64_t digest_slots(const std::vector<Value>& slots);
 
-/// Fold one 64-bit word into a running FNV-1a digest (shared by the
-/// testing oracle for transfer-trace hashing).
+inline constexpr std::uint64_t kFnv1aInit = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kFnv1aPrime = 0x100000001b3ULL;
+
+/// kFnv1aPrimePow[k] = kFnv1aPrime^k (mod 2^64).
+inline constexpr std::array<std::uint64_t, 9> kFnv1aPrimePow = [] {
+  std::array<std::uint64_t, 9> pow{};
+  pow[0] = 1;
+  for (std::size_t k = 1; k < pow.size(); ++k) {
+    pow[k] = pow[k - 1] * kFnv1aPrime;
+  }
+  return pow;
+}();
+
+/// Fold one 64-bit word, low byte first, into a running FNV-1a digest
+/// (state digests and every transfer-trace hash).  The bytes above the
+/// word's highest nonzero byte xor in nothing, so their steps are bare
+/// multiplications and fold into one multiply by a power of the prime:
+/// bit-identical to eight byte steps, and small words (type tags, sizes,
+/// counters) cost one or two.
 [[nodiscard]] constexpr std::uint64_t fnv1a_mix(std::uint64_t h,
                                                 std::uint64_t word) noexcept {
-  for (int i = 0; i < 8; ++i) {
+  // Bytes up to and including the highest nonzero one; 0 for a zero word.
+  const int bytes = (71 - std::countl_zero(word)) / 8;
+  for (int i = 0; i < bytes; ++i) {
     h ^= (word >> (8 * i)) & 0xffU;
-    h *= 0x100000001b3ULL;
+    h *= kFnv1aPrime;
   }
-  return h;
+  return h * kFnv1aPrimePow[8 - bytes];
 }
-
-inline constexpr std::uint64_t kFnv1aInit = 0xcbf29ce484222325ULL;
 
 /// Digest a single Value (string content, not pointer identity).
 [[nodiscard]] std::uint64_t digest_value(std::uint64_t h, const Value& v);

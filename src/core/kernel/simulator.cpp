@@ -105,6 +105,16 @@ KernelSnapshot Simulator::snapshot() const {
   return snap;
 }
 
+std::uint64_t Simulator::state_digest() {
+  sched_->sync_module_state();
+  // The fold of KernelSnapshot::digest(), one module at a time.
+  std::uint64_t h = kFnv1aInit;
+  for (const auto& m : netlist_.modules()) {
+    h = fnv1a_mix(h, m->state_digest(digest_scratch_));
+  }
+  return h;
+}
+
 void Simulator::restore(const KernelSnapshot& snap) {
   const auto& modules = netlist_.modules();
   if (snap.module_state.size() != modules.size()) {

@@ -10,7 +10,7 @@ std::uint64_t mix_bytes(std::uint64_t h, const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
   for (std::size_t i = 0; i < n; ++i) {
     h ^= p[i];
-    h *= 0x100000001b3ULL;
+    h *= kFnv1aPrime;
   }
   return h;
 }

@@ -195,7 +195,7 @@ RecoveryReport Supervisor::run(core::Cycle cycles) {
                              : (sim_->now() > 0 ? sim_->now() - 1 : 0);
   rep.trace_hashes = recorder_.hashes();
   rep.trace_hashes.resize(rep.cycles, core::kFnv1aInit);
-  rep.state_digest = sim_->snapshot().digest();
+  rep.state_digest = sim_->state_digest();
   return rep;
 }
 

@@ -1,20 +1,26 @@
 // Differential oracle: prove N schedulers bit-identical on one netlist.
 //
-// The reference (dynamic) scheduler defines the semantics; every candidate
-// (static, parallel at several thread counts) must match it exactly.  The
+// The reference (dynamic -O0) scheduler defines the semantics; every
+// candidate (by default static, parallel x {1, 2, 8} threads, compiled
+// -O0/-O2, and native -O0/-O2 when built in) must match it exactly.  The
 // oracle runs in two phases:
 //
-//   1. Coarse: each simulator runs the full cycle budget alone, taking a
-//      kernel snapshot every `snapshot_every` cycles and folding every
-//      completed transfer into a per-window trace hash.  Disagreement in
-//      any window hash, snapshot digest, or the final stats dump flags the
-//      candidate.
-//   2. Bisect: the first disagreeing window brackets the bug.  Fresh
-//      simulators are built for both schedulers, restored from their
-//      last-agreeing snapshots (exercising Simulator::restore for real),
-//      and replayed in lockstep — one cycle at a time, comparing the
-//      transfer record and every module's state digest — until the exact
-//      divergent cycle and the differing modules fall out.
+//   1. Coarse, streaming: each simulator runs the full cycle budget alone.
+//      At every `snapshot_every`-cycle window boundary it folds the
+//      window's completed transfers into a trace hash and the kernel state
+//      into a state digest (Simulator::state_digest).  The reference keeps
+//      only those per-window pairs and its final stats dump; each candidate
+//      compares window by window as it runs and stops at its first
+//      mismatch.  No snapshot outlives its window, so memory does not grow
+//      with the cycle budget.  A candidate that agrees in every window must
+//      also produce the same stats dump.
+//   2. Bisect: the first disagreeing window brackets the bug.  Each side
+//      is replayed from cycle 0 to the window's start (the last agreeing
+//      boundary), snapshotted there, and restored into a fresh simulator
+//      (exercising Simulator::restore for real); the two are then replayed
+//      in lockstep — one cycle at a time, comparing the transfer record and
+//      every module's state digest — until the exact divergent cycle and
+//      the differing modules fall out.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +51,12 @@ struct Candidate {
 
 struct OracleConfig {
   /// Candidates checked against the dynamic reference.  Empty selects the
-  /// default battery: static, parallel x {1, 2, 8} threads.
+  /// default battery: static, parallel x {1, 2, 8} threads, compiled -O0
+  /// and -O2, plus native -O0 and -O2 when LIBERTY_NATIVE_CODEGEN is built
+  /// in.
   std::vector<Candidate> candidates;
+  /// Window length in cycles: the coarse phase compares a trace hash and a
+  /// state digest at every boundary (0 selects 16).
   liberty::core::Cycle snapshot_every = 16;
   bool bisect = true;  // phase 2 on divergence
   /// Attach a CycleProfiler to every coarse-phase simulator.  The probes

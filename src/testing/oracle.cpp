@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -10,6 +11,7 @@
 #include "liberty/obs/profiler.hpp"
 #include "liberty/opt/optimizer.hpp"
 #include "liberty/resil/injector.hpp"
+#include "liberty/resil/watchdog.hpp"
 
 namespace liberty::testing {
 
@@ -21,72 +23,95 @@ using liberty::core::KernelSnapshot;
 using liberty::core::Netlist;
 using liberty::core::SchedulerKind;
 using liberty::core::Simulator;
+using liberty::core::StateWriter;
 using liberty::core::fnv1a_mix;
 using liberty::core::kFnv1aInit;
+using liberty::resil::FaultInjector;
+using liberty::resil::FaultPlan;
 
-std::uint64_t mix_bytes(std::uint64_t h, const std::string& s) {
-  for (const unsigned char ch : s) {
-    h ^= ch;
-    h *= 0x100000001b3ULL;
+/// The semantics every candidate is checked against.
+constexpr Candidate kReference{SchedulerKind::Dynamic, 0, 0};
+
+/// One simulator as the oracle builds it: the spec elaborated, optimized at
+/// the candidate's level, and the fault plan installed.  Members are
+/// destroyed in reverse order, the simulator first: the injector and the
+/// netlist must outlive it (the scheduler's destructor clears the
+/// per-connection hooks).
+struct Rig {
+  Rig(const NetSpec& spec, const liberty::core::ModuleRegistry& registry,
+      const Candidate& who, const FaultPlan* plan) {
+    spec.build(netlist, registry);
+    if (who.opt_level > 0) {
+      liberty::opt::optimize(
+          netlist, liberty::opt::OptOptions::for_level(who.opt_level));
+    }
+    if (plan != nullptr) injector = std::make_unique<FaultInjector>(*plan);
+    sim = std::make_unique<Simulator>(netlist, who.kind, who.threads);
+    if (injector != nullptr) injector->install(*sim);
   }
-  return h;
-}
 
-/// One scheduler's coarse pass over the full cycle budget.
-struct RunRecord {
-  std::vector<KernelSnapshot> snaps;  // snapshot i taken at snap_cycles[i]
-  std::vector<Cycle> snap_cycles;
-  std::vector<std::uint64_t> window_hashes;  // transfers between snapshots
-  std::string stats;
+  Netlist netlist;
+  std::unique_ptr<FaultInjector> injector;
+  std::unique_ptr<Simulator> sim;
 };
 
-RunRecord run_full(const NetSpec& spec,
-                   const liberty::core::ModuleRegistry& registry,
-                   SchedulerKind kind, unsigned threads, Cycle every,
-                   bool profile, int opt_level,
-                   const liberty::resil::FaultPlan* plan) {
-  Netlist netlist;
-  spec.build(netlist, registry);
-  if (opt_level > 0) {
-    liberty::opt::optimize(netlist,
-                           liberty::opt::OptOptions::for_level(opt_level));
-  }
-  // The injector must outlive the simulator (the scheduler's destructor
-  // clears the per-connection hooks).
-  std::unique_ptr<liberty::resil::FaultInjector> injector;
-  if (plan != nullptr) {
-    injector = std::make_unique<liberty::resil::FaultInjector>(*plan);
-  }
-  Simulator sim(netlist, kind, threads);
-  if (injector != nullptr) injector->install(sim);
+/// What the coarse phase compares at a window boundary: the hash of every
+/// transfer since the previous boundary and the state digest at this one.
+struct WindowCheck {
+  std::uint64_t trace = kFnv1aInit;
+  std::uint64_t state = 0;
+
+  bool operator==(const WindowCheck&) const = default;
+};
+
+/// Window `w` spans cycles [w * every, window_end(w)); the last may be short.
+Cycle window_end(std::size_t w, Cycle every, Cycle cycles) {
+  return std::min<Cycle>((w + 1) * every, cycles);
+}
+
+/// Coarse phase for one simulator: run the full cycle budget, and at every
+/// window boundary fold the state digest and hand the window's check to
+/// `at_boundary(window, check)`, which stops the run by returning false.
+/// Nothing outlives its window.  Returns the final stats dump, or nullopt
+/// when stopped early.
+template <class AtBoundary>
+std::optional<std::string> run_coarse(
+    const NetSpec& spec, const liberty::core::ModuleRegistry& registry,
+    const Candidate& who, const OracleConfig& config, Cycle every,
+    AtBoundary at_boundary) {
+  Rig rig(spec, registry, who, config.fault_plan);
   // With config.profile the probe rides along purely to prove it cannot
   // perturb the comparison; its aggregates are discarded.
   liberty::obs::CycleProfiler prof;
-  if (profile) sim.set_probe(&prof);
+  if (config.profile) rig.sim->set_probe(&prof);
 
-  RunRecord rec;
-  std::uint64_t hash = kFnv1aInit;
-  sim.observe_transfers([&hash](const Connection& c, Cycle cycle) {
-    hash = fnv1a_mix(hash, c.id());
-    hash = fnv1a_mix(hash, cycle);
-    hash = mix_bytes(hash, c.data().to_string());
+  WindowCheck check;
+  rig.sim->observe_transfers([&check](const Connection& c, Cycle cycle) {
+    check.trace =
+        liberty::resil::mix_transfer(fnv1a_mix(check.trace, cycle), c);
   });
-
-  rec.snaps.push_back(sim.snapshot());
-  rec.snap_cycles.push_back(0);
+  std::size_t window = 0;
   for (Cycle c = 0; c < spec.cycles; ++c) {
-    sim.step();
-    if ((c + 1) % every == 0 || c + 1 == spec.cycles) {
-      rec.window_hashes.push_back(hash);
-      hash = kFnv1aInit;
-      rec.snaps.push_back(sim.snapshot());
-      rec.snap_cycles.push_back(c + 1);
+    rig.sim->step();
+    if (c + 1 == window_end(window, every, spec.cycles)) {
+      check.state = rig.sim->state_digest();
+      if (!at_boundary(window++, check)) return std::nullopt;
+      check = WindowCheck{};
     }
   }
   std::ostringstream oss;
-  netlist.dump_stats(oss);
-  rec.stats = oss.str();
-  return rec;
+  rig.netlist.dump_stats(oss);
+  return oss.str();
+}
+
+/// The kernel state `who` reaches at cycle `at`, replayed from cycle 0.
+KernelSnapshot snapshot_at(const NetSpec& spec,
+                           const liberty::core::ModuleRegistry& registry,
+                           const Candidate& who, const FaultPlan* plan,
+                           Cycle at) {
+  Rig replay(spec, registry, who, plan);
+  while (replay.sim->now() < at) replay.sim->step();
+  return replay.sim->snapshot();
 }
 
 std::string kind_name(SchedulerKind kind) {
@@ -100,44 +125,30 @@ std::string kind_name(SchedulerKind kind) {
   return "?";
 }
 
-/// Phase 2: restore both schedulers to the last agreeing snapshot and
-/// replay in lockstep to the exact divergent cycle.
+/// Phase 2: bring fresh reference and candidate simulators to the last
+/// agreeing boundary (the start of `window`) and replay in lockstep to the
+/// exact divergent cycle.
 Divergence bisect_window(const NetSpec& spec,
                          const liberty::core::ModuleRegistry& registry,
-                         const Candidate& cand, const RunRecord& ref,
-                         const RunRecord& other, std::size_t window,
-                         const liberty::resil::FaultPlan* plan) {
+                         const Candidate& cand, std::size_t window,
+                         Cycle every, const FaultPlan* plan) {
   Divergence d;
   d.candidate = cand;
 
-  Netlist nl_ref;
-  Netlist nl_cand;
-  spec.build(nl_ref, registry);
-  spec.build(nl_cand, registry);
-  if (cand.opt_level > 0) {
-    liberty::opt::optimize(
-        nl_cand, liberty::opt::OptOptions::for_level(cand.opt_level));
-  }
   // Lockstep replay must suffer the same faults as the coarse runs did —
-  // fault mappings are pure functions of (connection, cycle), so restoring
-  // to a snapshot and replaying reproduces them exactly.
-  std::unique_ptr<liberty::resil::FaultInjector> inj_ref;
-  std::unique_ptr<liberty::resil::FaultInjector> inj_cand;
-  if (plan != nullptr) {
-    inj_ref = std::make_unique<liberty::resil::FaultInjector>(*plan);
-    inj_cand = std::make_unique<liberty::resil::FaultInjector>(*plan);
-  }
-  Simulator sim_ref(nl_ref, SchedulerKind::Dynamic);
-  Simulator sim_cand(nl_cand, cand.kind, cand.threads);
-  if (inj_ref != nullptr) {
-    inj_ref->install(sim_ref);
-    inj_cand->install(sim_cand);
-  }
-  // Each side restores its own snapshot (their digests agree at `window`,
-  // so the states are equal in content) — this is the restore/replay path
-  // the snapshot API exists for.
-  sim_ref.restore(ref.snaps[window]);
-  sim_cand.restore(other.snaps[window]);
+  // fault mappings are pure functions of (connection, cycle), so replaying
+  // to the boundary and restoring there reproduces them exactly.
+  Rig ref(spec, registry, kReference, plan);
+  Rig other(spec, registry, cand, plan);
+  // Each side replays to the boundary on a scratch simulator and restores
+  // its own snapshot into the fresh one (their digests agreed there, so
+  // the states are equal in content) — this is the restore/replay path the
+  // snapshot API exists for.  The replay cost lands only on divergence.
+  const Cycle from = static_cast<Cycle>(window) * every;
+  ref.sim->restore(snapshot_at(spec, registry, kReference, plan, from));
+  other.sim->restore(snapshot_at(spec, registry, cand, plan, from));
+  Simulator& sim_ref = *ref.sim;
+  Simulator& sim_cand = *other.sim;
 
   std::vector<std::string> xfer_ref;
   std::vector<std::string> xfer_cand;
@@ -151,7 +162,8 @@ Divergence bisect_window(const NetSpec& spec,
   sim_ref.observe_transfers(recorder(xfer_ref));
   sim_cand.observe_transfers(recorder(xfer_cand));
 
-  const Cycle stop = ref.snap_cycles[window + 1];
+  const Cycle stop = window_end(window, every, spec.cycles);
+  StateWriter scratch;
   while (sim_ref.now() < stop) {
     const Cycle cycle = sim_ref.now();
     xfer_ref.clear();
@@ -160,10 +172,11 @@ Divergence bisect_window(const NetSpec& spec,
     sim_cand.step();
 
     std::vector<std::string> differing;
-    const auto& mods_ref = nl_ref.modules();
-    const auto& mods_cand = nl_cand.modules();
+    const auto& mods_ref = ref.netlist.modules();
+    const auto& mods_cand = other.netlist.modules();
     for (std::size_t i = 0; i < mods_ref.size(); ++i) {
-      if (mods_ref[i]->state_digest() != mods_cand[i]->state_digest()) {
+      if (mods_ref[i]->state_digest(scratch) !=
+          mods_cand[i]->state_digest(scratch)) {
         differing.push_back(mods_ref[i]->name());
       }
     }
@@ -250,34 +263,37 @@ OracleResult run_oracle(const NetSpec& spec,
 
   const Cycle every =
       config.snapshot_every == 0 ? 16 : config.snapshot_every;
-  const RunRecord ref = run_full(spec, registry, SchedulerKind::Dynamic,
-                                 /*threads=*/0, every, config.profile,
-                                 /*opt_level=*/0, config.fault_plan);
+  // The reference keeps only each window's check and the stats dump; every
+  // candidate is compared against them on the spot.
+  std::vector<WindowCheck> ref_windows;
+  const std::string ref_stats = *run_coarse(
+      spec, registry, kReference, config, every,
+      [&ref_windows](std::size_t, const WindowCheck& check) {
+        ref_windows.push_back(check);
+        return true;
+      });
 
   OracleResult result;
   for (const Candidate& cand : candidates) {
-    const RunRecord rec = run_full(spec, registry, cand.kind, cand.threads,
-                                   every, config.profile, cand.opt_level,
-                                   config.fault_plan);
+    // Only the first disagreeing window decides the verdict, so the
+    // candidate stops there.
+    std::size_t bad_window = ref_windows.size();
+    const std::optional<std::string> stats = run_coarse(
+        spec, registry, cand, config, every,
+        [&](std::size_t w, const WindowCheck& check) {
+          if (check == ref_windows[w]) return true;
+          bad_window = w;
+          return false;
+        });
 
-    // First disagreeing window: window w spans snapshots w -> w+1.
-    std::size_t bad_window = rec.window_hashes.size();
-    for (std::size_t w = 0; w < rec.window_hashes.size(); ++w) {
-      if (rec.window_hashes[w] != ref.window_hashes[w] ||
-          rec.snaps[w + 1].digest() != ref.snaps[w + 1].digest()) {
-        bad_window = w;
-        break;
-      }
-    }
-
-    if (bad_window == rec.window_hashes.size()) {
-      if (rec.stats == ref.stats) continue;  // candidate agrees
+    if (stats.has_value()) {
+      if (*stats == ref_stats) continue;  // candidate agrees
       Divergence d;
       d.candidate = cand;
       d.detail = "stats dump differs between dynamic and " +
                  cand.describe() +
                  " although transfers and state agree:\n--- dynamic\n" +
-                 ref.stats + "--- candidate\n" + rec.stats;
+                 ref_stats + "--- candidate\n" + *stats;
       result.ok = false;
       result.divergences.push_back(std::move(d));
       continue;
@@ -285,16 +301,15 @@ OracleResult run_oracle(const NetSpec& spec,
 
     result.ok = false;
     if (config.bisect) {
-      result.divergences.push_back(bisect_window(spec, registry, cand, ref,
-                                                 rec, bad_window,
-                                                 config.fault_plan));
+      result.divergences.push_back(bisect_window(
+          spec, registry, cand, bad_window, every, config.fault_plan));
     } else {
+      const Cycle end = window_end(bad_window, every, spec.cycles);
       Divergence d;
       d.candidate = cand;
-      d.first_divergent_cycle = rec.snap_cycles[bad_window + 1];
+      d.first_divergent_cycle = end;
       d.detail = "dynamic and " + cand.describe() +
-                 " diverge in window ending at cycle " +
-                 std::to_string(rec.snap_cycles[bad_window + 1]) +
+                 " diverge in window ending at cycle " + std::to_string(end) +
                  " (bisection disabled)";
       result.divergences.push_back(std::move(d));
     }

@@ -133,6 +133,35 @@ TEST(Oracle, InjectedStaticFaultCaughtAndBisected) {
   EXPECT_NE(d.detail.find("cycle 50"), std::string::npos) << d.detail;
 }
 
+// The coarse phase compares at 16-cycle window boundaries and the bisect
+// replays to the last agreeing one: a fault at a window's first cycle, its
+// last, just past it, at cycle 0, and deep into the run must each still be
+// pinned to its exact cycle and blamed on the faulty candidate alone.  The
+// fault sits on conn 0, which transfers on every cycle from cycle 0 on.
+TEST(Oracle, BisectPinsFaultsAtWindowEdges) {
+  NetSpec spec = pipeline_spec();
+  spec.cycles = 3000;
+  for (const liberty::core::Cycle at : {0u, 15u, 16u, 17u, 2000u}) {
+    const FaultPlan plan = scheduler_fault("static", at, 0);
+    OracleConfig cfg;
+    cfg.snapshot_every = 16;
+    cfg.fault_plan = &plan;
+    cfg.candidates = {{SchedulerKind::Static, 0},
+                      {SchedulerKind::Compiled, 0, /*opt_level=*/2}};
+    const OracleResult r = run_oracle(spec, fuzz_registry(), cfg);
+    ASSERT_FALSE(r.ok) << "fault at " << at;
+    // The healthy compiled candidate in the same battery still passes.
+    ASSERT_EQ(r.divergences.size(), 1u) << r.report();
+    const liberty::testing::Divergence& d = r.divergences.front();
+    EXPECT_EQ(d.candidate.kind, SchedulerKind::Static);
+    EXPECT_EQ(d.first_divergent_cycle, at) << d.detail;
+    EXPECT_FALSE(d.modules.empty()) << d.detail;
+    EXPECT_NE(d.detail.find("diverge at cycle " + std::to_string(at)),
+              std::string::npos)
+        << d.detail;
+  }
+}
+
 TEST(Oracle, InjectedParallelFaultBlamesEveryThreadCount) {
   const FaultPlan plan = scheduler_fault("parallel", 30, 1);
   OracleConfig cfg;

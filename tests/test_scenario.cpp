@@ -316,6 +316,71 @@ TEST(Scenario, FuzzFamilyIsDeterministicPerSeed) {
             liberty::scenario::fuzz_rack_netspec(2).render());
 }
 
+// Simulator::state_digest is the oracle's streaming stand-in for
+// snapshot().digest(): it must equal it on every backend and opt level, at
+// any cycle, and after a restore.
+TEST(Scenario, StateDigestEqualsSnapshotDigest) {
+  const NetSpec spec = liberty::scenario::fuzz_rack_netspec(3);
+  for (const SchedulerKind kind :
+       {SchedulerKind::Dynamic, SchedulerKind::Static,
+        SchedulerKind::Compiled}) {
+    for (const int level : {0, 2}) {
+      const std::string where = Candidate{kind, 0, level}.describe();
+      Netlist netlist;
+      spec.build(netlist, rack_registry());
+      if (level > 0) {
+        liberty::opt::optimize(netlist,
+                               liberty::opt::OptOptions::for_level(level));
+      }
+      Simulator sim(netlist, kind, 0);
+      EXPECT_EQ(sim.state_digest(), sim.snapshot().digest()) << where;
+      KernelSnapshot mid;
+      for (const Cycle stop : {Cycle{17}, Cycle{200}, Cycle{333}}) {
+        sim.run(stop - sim.now());
+        const KernelSnapshot snap = sim.snapshot();
+        EXPECT_EQ(sim.state_digest(), snap.digest()) << where << " @" << stop;
+        if (stop == 200) mid = snap;
+      }
+      sim.restore(mid);
+      EXPECT_EQ(sim.state_digest(), mid.digest()) << where << " restored";
+      sim.run(50);
+      EXPECT_EQ(sim.state_digest(), sim.snapshot().digest())
+          << where << " after restore";
+    }
+  }
+}
+
+// One StateWriter reused across two different netlists must leave nothing
+// behind: each module's digest through the shared buffer equals its digest
+// through a fresh one.
+TEST(Scenario, StateDigestScratchReuseLeavesNoState) {
+  Netlist a;
+  Netlist b;
+  liberty::scenario::fuzz_rack_netspec(3).build(a, rack_registry());
+  liberty::scenario::fuzz_rack_netspec(4).build(b, rack_registry());
+  Simulator sim_a(a, SchedulerKind::Static, 0);
+  Simulator sim_b(b, SchedulerKind::Static, 0);
+  sim_a.run(100);
+  sim_b.run(150);
+
+  const std::uint64_t fresh_a = sim_a.snapshot().digest();
+  const std::uint64_t fresh_b = sim_b.snapshot().digest();
+  EXPECT_NE(fresh_a, fresh_b);
+  // Back to back, in both orders, through each simulator's reused buffer.
+  EXPECT_EQ(sim_a.state_digest(), fresh_a);
+  EXPECT_EQ(sim_b.state_digest(), fresh_b);
+  EXPECT_EQ(sim_b.state_digest(), fresh_b);
+  EXPECT_EQ(sim_a.state_digest(), fresh_a);
+
+  liberty::core::StateWriter shared;
+  for (const Netlist* nl : {&a, &b, &a}) {
+    for (const auto& m : nl->modules()) {
+      EXPECT_EQ(m->state_digest(shared), m->state_digest()) << m->name();
+      EXPECT_TRUE(shared.slots().empty()) << m->name();
+    }
+  }
+}
+
 // --- Golden metrics ---------------------------------------------------------
 
 bool updating() {

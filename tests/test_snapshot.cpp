@@ -112,6 +112,33 @@ TEST(StateIo, DigestIsContentNotIdentity) {
             liberty::core::digest_slots(c.slots()));
 }
 
+// fnv1a_mix folds a word's high zero bytes into one multiply; every digest
+// the project prints depends on it matching plain byte-at-a-time FNV-1a.
+TEST(StateIo, Fnv1aMixMatchesByteSerialFnv1a) {
+  const auto reference = [](std::uint64_t h, std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+    return h;
+  };
+  std::vector<std::uint64_t> words = {0, 0xff, 0xffff, ~0ULL,
+                                      0x00ff000000000000ULL,
+                                      0x0100000000000001ULL};
+  for (int bit = 0; bit < 64; ++bit) words.push_back(std::uint64_t{1} << bit);
+  liberty::Rng rng(99);
+  for (int i = 0; i < 256; ++i) words.push_back(rng.next() >> (i % 64));
+  for (const std::uint64_t h : {liberty::core::kFnv1aInit, std::uint64_t{0},
+                                std::uint64_t{0x123456789abcdefULL}}) {
+    for (const std::uint64_t w : words) {
+      EXPECT_EQ(liberty::core::fnv1a_mix(h, w), reference(h, w))
+          << std::hex << "h=" << h << " word=" << w;
+    }
+  }
+  static_assert(liberty::core::fnv1a_mix(liberty::core::kFnv1aInit, 0) ==
+                0xa8c7f832281a39c5ULL);
+}
+
 // The core guarantee: restore + replay reproduces the original execution
 // transfer for transfer, ending in the same state digest.
 TEST(Snapshot, RestoreReplayIsBitIdentical) {
