@@ -19,7 +19,7 @@ namespace {
 PowerConfig link_power_config(const Params& params) {
   PowerConfig cfg;
   cfg.link_mm = params.get_real("link_mm", 1.0);
-  cfg.flit_bits = static_cast<std::size_t>(params.get_int("flit_bits", 64));
+  cfg.flit_bits = params.get_size("flit_bits", 64);
   cfg.vdd = params.get_real("vdd", 1.0);
   return cfg;
 }
@@ -30,7 +30,7 @@ Link::Link(const std::string& name, const Params& params)
       in_(add_in("in", AckMode::Managed, 0, 1)),
       out_(add_out("out", 0, 1)),
       latency_(static_cast<std::uint64_t>(params.get_int("latency", 1))),
-      capacity_(static_cast<std::size_t>(params.get_int("capacity", 0))),
+      capacity_(params.get_size("capacity", 0)),
       power_(link_power_config(params)) {
   if (latency_ == 0) {
     throw liberty::ElaborationError("ccl.link '" + name +

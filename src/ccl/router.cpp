@@ -13,8 +13,7 @@ namespace {
 PowerConfig power_config_from(const Params& params, std::size_t ports,
                               std::size_t vcs, std::size_t depth) {
   PowerConfig cfg;
-  cfg.flit_bits =
-      static_cast<std::size_t>(params.get_int("flit_bits", 64));
+  cfg.flit_bits = params.get_size("flit_bits", 64);
   cfg.ports = ports;
   cfg.vcs = vcs;
   cfg.buffer_depth = depth;
@@ -28,13 +27,13 @@ Router::Router(const std::string& name, const Params& params)
     : Module(name),
       in_(add_in("in", AckMode::Managed, 1)),
       out_(add_out("out", 1)),
-      id_num_(static_cast<std::size_t>(params.get_int("id", 0))),
-      nodes_(static_cast<std::size_t>(params.get_int("nodes", 1))),
+      id_num_(params.get_size("id", 0)),
+      nodes_(params.get_size("nodes", 1)),
       routing_(params.get_string("routing", "xy")),
-      cols_(static_cast<std::size_t>(params.get_int("cols", 1))),
-      rows_(static_cast<std::size_t>(params.get_int("rows", 1))),
-      vcs_(static_cast<std::size_t>(params.get_int("vcs", 2))),
-      depth_(static_cast<std::size_t>(params.get_int("depth", 4))),
+      cols_(params.get_size("cols", 1)),
+      rows_(params.get_size("rows", 1)),
+      vcs_(params.get_size("vcs", 2)),
+      depth_(params.get_size("depth", 4)),
       pipeline_(static_cast<std::uint64_t>(params.get_int("pipeline", 1))),
       power_(power_config_from(params, 5, vcs_, depth_)),
       thermal_(params.get_real("ambient_c", 45.0),

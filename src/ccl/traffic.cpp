@@ -13,17 +13,17 @@ using liberty::core::Params;
 TrafficGen::TrafficGen(const std::string& name, const Params& params)
     : Module(name),
       out_(add_out("out", 0, 1)),
-      id_num_(static_cast<std::size_t>(params.get_int("id", 0))),
-      nodes_(static_cast<std::size_t>(params.get_int("nodes", 1))),
+      id_num_(params.get_size("id", 0)),
+      nodes_(params.get_size("nodes", 1)),
       pattern_(params.get_string("pattern", "uniform")),
       rate_(params.get_real("rate", 0.1)),
       count_(static_cast<std::uint64_t>(params.get_int("count", 0))),
-      fixed_dst_(static_cast<std::size_t>(params.get_int("dst", 0))),
-      hotspot_(static_cast<std::size_t>(params.get_int("hotspot", 0))),
+      fixed_dst_(params.get_size("dst", 0)),
+      hotspot_(params.get_size("hotspot", 0)),
       hotspot_frac_(params.get_real("hotspot_frac", 0.5)),
-      cols_(static_cast<std::size_t>(params.get_int("cols", 1))),
-      vcs_(static_cast<std::size_t>(params.get_int("vcs", 2))),
-      length_(static_cast<std::size_t>(params.get_int("length", 1))),
+      cols_(params.get_size("cols", 1)),
+      vcs_(params.get_size("vcs", 2)),
+      length_(params.get_size("length", 1)),
       rng_(static_cast<std::uint64_t>(params.get_int("seed", 1)) * 0x9e37 +
            id_num_) {
   if (pattern_ != "uniform" && pattern_ != "transpose" &&

@@ -148,23 +148,16 @@ class Module {
   /// Restore state saved by save_state, reading slots in the same order.
   virtual void load_state(StateReader&) {}
 
-  /// Content digest of this module's saved state (FNV-1a over the
-  /// save_state slot sequence).  Two independently constructed simulators
-  /// in identical states produce identical digests — the comparison point
-  /// of the differential oracle in liberty_testing.
+  /// Content digest of this module's saved state: digest_slots of the
+  /// save_state slot sequence, streamed through a digest-only StateWriter
+  /// that folds each slot as it is written (slot count last) and stores
+  /// none.  Two independently constructed simulators in identical states
+  /// produce identical digests — the comparison point of the differential
+  /// oracle in liberty_testing.
   [[nodiscard]] std::uint64_t state_digest() const {
-    StateWriter w;
-    return state_digest(w);
-  }
-  /// Same digest, serialized through a caller-owned buffer that is cleared
-  /// before and after: a caller digesting many modules reuses one
-  /// allocation, and no payload reference outlives the call.
-  [[nodiscard]] std::uint64_t state_digest(StateWriter& scratch) const {
-    scratch.clear();
-    save_state(scratch);
-    const std::uint64_t h = digest_slots(scratch.slots());
-    scratch.clear();
-    return h;
+    StateWriter w(StateWriter::digest_only);
+    save_state(w);
+    return w.digest();
   }
 
   [[nodiscard]] liberty::StatSet& stats() noexcept { return stats_; }

@@ -11,6 +11,8 @@
 // error the paper's methodology is designed to eliminate.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -41,6 +43,19 @@ class Params {
     touched_.insert(name);
     const auto it = values_.find(name);
     return it == values_.end() ? dflt : it->second.as_int();
+  }
+  /// A count, size or index: get_int that throws ElaborationError naming
+  /// the parameter and its value when it is negative (a negative depth
+  /// must not wrap around to an effectively unbounded size_t).
+  [[nodiscard]] std::size_t get_size(const std::string& name,
+                                     std::size_t dflt) const {
+    const std::int64_t v = get_int(name, static_cast<std::int64_t>(dflt));
+    if (v < 0) {
+      throw liberty::ElaborationError("parameter '" + name +
+                                      "' must be non-negative, got " +
+                                      std::to_string(v));
+    }
+    return static_cast<std::size_t>(v);
   }
   [[nodiscard]] double get_real(const std::string& name, double dflt) const {
     touched_.insert(name);

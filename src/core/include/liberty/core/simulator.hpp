@@ -106,10 +106,9 @@ class Simulator {
   [[nodiscard]] KernelSnapshot snapshot() const;
 
   /// Exactly snapshot().digest(), without building the snapshot: every
-  /// module serializes into one reused buffer and is hashed on the spot,
-  /// so nothing is retained past the call.  Same calling rule as
-  /// snapshot().
-  [[nodiscard]] std::uint64_t state_digest();
+  /// module's save_state streams into its Module::state_digest(), so no
+  /// slot is stored.  Same calling rule as snapshot().
+  [[nodiscard]] std::uint64_t state_digest() const;
 
   /// Rewind the simulator to `snap`.  Every module's load_state must
   /// consume exactly the slots its save_state produced; statistics and
@@ -144,7 +143,6 @@ class Simulator {
   Netlist& netlist_;
   std::unique_ptr<SchedulerBase> sched_;
   Cycle now_ = 0;
-  StateWriter digest_scratch_;  // state_digest()'s reused buffer
 };
 
 }  // namespace liberty::core

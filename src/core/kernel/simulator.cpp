@@ -105,12 +105,12 @@ KernelSnapshot Simulator::snapshot() const {
   return snap;
 }
 
-std::uint64_t Simulator::state_digest() {
+std::uint64_t Simulator::state_digest() const {
   sched_->sync_module_state();
   // The fold of KernelSnapshot::digest(), one module at a time.
   std::uint64_t h = kFnv1aInit;
   for (const auto& m : netlist_.modules()) {
-    h = fnv1a_mix(h, m->state_digest(digest_scratch_));
+    h = fnv1a_mix(h, m->state_digest());
   }
   return h;
 }

@@ -18,7 +18,6 @@ std::uint64_t mix_bytes(std::uint64_t h, const void* data, std::size_t n) {
 }  // namespace
 
 std::uint64_t digest_value(std::uint64_t h, const Value& v) {
-  // Tag with the alternative index so e.g. int 1 and bool true differ.
   h = fnv1a_mix(h, static_cast<std::uint64_t>(v.raw().index()));
   if (v.is_bool()) return fnv1a_mix(h, v.as_bool() ? 1 : 0);
   if (v.is_int()) {
@@ -45,10 +44,9 @@ std::uint64_t digest_value(std::uint64_t h, const Value& v) {
 }
 
 std::uint64_t digest_slots(const std::vector<Value>& slots) {
-  std::uint64_t h = kFnv1aInit;
-  h = fnv1a_mix(h, slots.size());
-  for (const Value& v : slots) h = digest_value(h, v);
-  return h;
+  StateWriter w(StateWriter::digest_only);
+  for (const Value& v : slots) w.put(v);
+  return w.digest();
 }
 
 }  // namespace liberty::core

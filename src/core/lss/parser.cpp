@@ -43,9 +43,29 @@ class Parser {
     return SourceLoc{file_, cur().line, cur().col};
   }
 
+  // Every recursive production holds one of these for its extent, so a
+  // hostile spec (100k nested parentheses, blocks or unary signs) ends in
+  // a located diagnostic instead of overflowing the process stack.
+  static constexpr std::size_t kMaxNesting = 256;
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) {
+      if (++p_.depth_ > kMaxNesting) {
+        p_.fail("nesting depth exceeds " + std::to_string(kMaxNesting));
+      }
+    }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
   // --- statements ---------------------------------------------------------
 
   StmtPtr parse_stmt(bool in_module) {
+    const Nest nest(*this);
     switch (cur().kind) {
       case Tok::KwParam: return parse_param();
       case Tok::KwInstance: return parse_instance();
@@ -218,6 +238,7 @@ class Parser {
     if (at(Tok::KwElse)) {
       advance();
       if (at(Tok::KwIf)) {
+        const Nest nest(*this);  // an else-if chain recurses here directly
         s->if_stmt.else_body.push_back(parse_if(in_module));
       } else {
         s->if_stmt.else_body = parse_block(in_module);
@@ -240,7 +261,10 @@ class Parser {
 
   // --- expressions (precedence climbing) -----------------------------------
 
-  ExprPtr parse_expr() { return parse_ternary(); }
+  ExprPtr parse_expr() {
+    const Nest nest(*this);
+    return parse_ternary();
+  }
 
   ExprPtr parse_ternary() {
     ExprPtr cond = parse_or();
@@ -326,6 +350,7 @@ class Parser {
 
   ExprPtr parse_unary() {
     if (at(Tok::Minus) || at(Tok::Not)) {
+      const Nest nest(*this);
       auto e = std::make_unique<Expr>();
       e->kind = Expr::Kind::Unary;
       e->loc = loc();
@@ -391,6 +416,7 @@ class Parser {
   std::vector<Token> toks_;
   std::string file_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

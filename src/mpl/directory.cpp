@@ -19,10 +19,10 @@ using liberty::pcl::MemResp;
 namespace {
 HomeMap home_map_from(const Params& params) {
   HomeMap m;
-  m.home0 = static_cast<std::size_t>(params.get_int("home0", 0));
-  m.num_homes = static_cast<std::size_t>(params.get_int("num_homes", 1));
-  m.stride = static_cast<std::size_t>(params.get_int("home_stride", 1));
-  m.line_words = static_cast<std::size_t>(params.get_int("line_words", 4));
+  m.home0 = params.get_size("home0", 0);
+  m.num_homes = params.get_size("num_homes", 1);
+  m.stride = params.get_size("home_stride", 1);
+  m.line_words = params.get_size("line_words", 4);
   return m;
 }
 }  // namespace
@@ -35,7 +35,7 @@ DirectoryCtl::DirectoryCtl(const std::string& name, const Params& params)
     : Module(name),
       msg_in_(add_in("msg_in", AckMode::AutoAccept, 0, 1)),
       msg_out_(add_out("msg_out", 0, 1)),
-      id_num_(static_cast<std::size_t>(params.get_int("id", 0))),
+      id_num_(params.get_size("id", 0)),
       map_(home_map_from(params)),
       latency_(static_cast<std::uint64_t>(params.get_int("latency", 12))) {}
 
@@ -309,10 +309,10 @@ DirCache::DirCache(const std::string& name, const Params& params)
       cpu_resp_(add_out("cpu_resp", 0, 1)),
       msg_out_(add_out("msg_out", 0, 1)),
       msg_in_(add_in("msg_in", AckMode::AutoAccept, 0, 1)),
-      id_num_(static_cast<std::size_t>(params.get_int("id", 0))),
-      model_(static_cast<std::size_t>(params.get_int("sets", 16)),
-             static_cast<std::size_t>(params.get_int("ways", 2)),
-             static_cast<std::size_t>(params.get_int("line_words", 4)),
+      id_num_(params.get_size("id", 0)),
+      model_(params.get_size("sets", 16),
+             params.get_size("ways", 2),
+             params.get_size("line_words", 4),
              upl::replacement_from_string(
                  params.get_string("replacement", "lru"))),
       hit_latency_(

@@ -18,7 +18,7 @@ DmaCtl::DmaCtl(const std::string& name, const Params& params)
       mem_resp_(add_in("mem_resp", AckMode::AutoAccept, 0, 1)),
       net_out_(add_out("net_out", 0, 1)),
       net_in_(add_in("net_in", AckMode::AutoAccept, 0, 1)),
-      chunk_words_(static_cast<std::size_t>(params.get_int("chunk_words", 8))) {
+      chunk_words_(params.get_size("chunk_words", 8)) {
   if (chunk_words_ == 0) {
     throw liberty::ElaborationError("mpl.dma '" + name +
                                     "': chunk_words must be >= 1");

@@ -18,7 +18,7 @@ OrderingCtl::OrderingCtl(const std::string& name, const Params& params)
       cpu_resp_(add_out("cpu_resp", 0, 1)),
       mem_req_(add_out("mem_req", 0, 1)),
       mem_resp_(add_in("mem_resp", AckMode::AutoAccept, 0, 1)),
-      depth_(static_cast<std::size_t>(params.get_int("depth", 8))),
+      depth_(params.get_size("depth", 8)),
       drain_delay_(
           static_cast<std::uint64_t>(params.get_int("drain_delay", 0))) {
   const std::string mode = params.get_string("mode", "tso");

@@ -24,10 +24,10 @@ SnoopCache::SnoopCache(const std::string& name, const Params& params)
       cpu_resp_(add_out("cpu_resp", 0, 1)),
       bus_out_(add_out("bus_out", 0, 1)),
       bus_in_(add_in("bus_in", AckMode::AutoAccept, 0, 1)),
-      id_num_(static_cast<std::size_t>(params.get_int("id", 0))),
-      model_(static_cast<std::size_t>(params.get_int("sets", 16)),
-             static_cast<std::size_t>(params.get_int("ways", 2)),
-             static_cast<std::size_t>(params.get_int("line_words", 4)),
+      id_num_(params.get_size("id", 0)),
+      model_(params.get_size("sets", 16),
+             params.get_size("ways", 2),
+             params.get_size("line_words", 4),
              upl::replacement_from_string(
                  params.get_string("replacement", "lru"))),
       hit_latency_(
@@ -275,7 +275,7 @@ SnoopMemory::SnoopMemory(const std::string& name, const Params& params)
     : Module(name),
       bus_in_(add_in("bus_in", AckMode::AutoAccept, 0, 1)),
       bus_out_(add_out("bus_out", 0, 1)),
-      line_words_(static_cast<std::size_t>(params.get_int("line_words", 4))),
+      line_words_(params.get_size("line_words", 4)),
       latency_(static_cast<std::uint64_t>(params.get_int("latency", 12))) {}
 
 void SnoopMemory::cycle_start(Cycle c) {

@@ -18,8 +18,8 @@ FabricAdapter::FabricAdapter(const std::string& name, const Params& params)
       net_out_(add_out("net_out", 0, 1)),
       net_in_(add_in("net_in", AckMode::Managed, 0, 1)),
       msg_out_(add_out("msg_out", 0, 1)),
-      id_num_(static_cast<std::size_t>(params.get_int("id", 0))),
-      vcs_(static_cast<std::size_t>(params.get_int("vcs", 2))) {}
+      id_num_(params.get_size("id", 0)),
+      vcs_(params.get_size("vcs", 2)) {}
 
 void FabricAdapter::react() {
   // Outbound: wrap the offered message into a flit, once per cycle.

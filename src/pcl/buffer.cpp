@@ -15,7 +15,7 @@ Buffer::Buffer(const std::string& name, const Params& params)
     : Module(name),
       in_(add_in("in", AckMode::Managed, 1)),
       out_(add_out("out", 0)),
-      capacity_(static_cast<std::size_t>(params.get_int("capacity", 16))) {
+      capacity_(params.get_size("capacity", 16)) {
   const std::string issue = params.get_string("issue", "fifo");
   if (issue != "fifo" && issue != "any") {
     throw liberty::ElaborationError("pcl.buffer '" + name +

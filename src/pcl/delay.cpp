@@ -15,7 +15,7 @@ Delay::Delay(const std::string& name, const Params& params)
       in_(add_in("in", AckMode::Managed, 0, 1)),
       out_(add_out("out", 0, 1)),
       latency_(static_cast<std::uint64_t>(params.get_int("latency", 1))),
-      capacity_(static_cast<std::size_t>(params.get_int("capacity", 0))) {
+      capacity_(params.get_size("capacity", 0)) {
   if (latency_ == 0) {
     throw liberty::ElaborationError("pcl.delay '" + name +
                                     "': latency must be >= 1");

@@ -19,8 +19,8 @@ MemoryArray::MemoryArray(const std::string& name, const Params& params)
       req_(add_in("req", AckMode::Managed, 0)),
       resp_(add_out("resp", 0)),
       latency_(static_cast<std::uint64_t>(params.get_int("latency", 1))),
-      mshrs_(static_cast<std::size_t>(params.get_int("mshrs", 4))),
-      ports_(static_cast<std::size_t>(params.get_int("ports", 1))) {
+      mshrs_(params.get_size("mshrs", 4)),
+      ports_(params.get_size("ports", 1)) {
   if (latency_ == 0) {
     throw liberty::ElaborationError("pcl.memory_array '" + name +
                                     "': latency must be >= 1");

@@ -13,7 +13,7 @@ Queue::Queue(const std::string& name, const Params& params)
     : Module(name),
       in_(add_in("in", AckMode::Managed, 0, 1)),
       out_(add_out("out", 0, 1)),
-      depth_(static_cast<std::size_t>(params.get_int("depth", 8))),
+      depth_(params.get_size("depth", 8)),
       bypass_ack_(params.get_bool("bypass_ack", false)) {
   if (depth_ == 0) {
     throw liberty::ElaborationError("pcl.queue '" + name +

@@ -20,7 +20,7 @@ Source::Source(const std::string& name, const Params& params)
       count_(static_cast<std::uint64_t>(params.get_int("count", 0))),
       start_(static_cast<std::uint64_t>(params.get_int("start", 0))),
       range_(params.get_int("range", 1024)),
-      queue_depth_(static_cast<std::size_t>(params.get_int("queue_depth", 0))),
+      queue_depth_(params.get_size("queue_depth", 0)),
       stamp_(params.get_bool("stamp", false)) {
   if (kind_ != "counter" && kind_ != "token" && kind_ != "random") {
     throw liberty::ElaborationError("pcl.source '" + name +

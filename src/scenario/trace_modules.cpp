@@ -23,7 +23,7 @@ TraceSource::TraceSource(const std::string& name, const Params& params)
     : Module(name),
       host_req_(add_out("host_req", 0, 1)),
       host_resp_(add_in("host_resp", AckMode::AutoAccept, 0, 1)),
-      node_(static_cast<std::size_t>(params.get_int("node", 0))),
+      node_(params.get_size("node", 0)),
       tx_ring_(static_cast<std::uint64_t>(params.get_int("tx_ring", 8192))),
       entries_(static_cast<std::uint64_t>(params.get_int("ring_entries", 8))),
       payload_base_(
@@ -184,14 +184,13 @@ TraceSink::TraceSink(const std::string& name, const Params& params)
     : Module(name),
       host_req_(add_out("host_req", 0, 1)),
       host_resp_(add_in("host_resp", AckMode::AutoAccept, 0, 1)),
-      node_(static_cast<std::size_t>(params.get_int("node", 0))),
+      node_(params.get_size("node", 0)),
       rx_ring_(static_cast<std::uint64_t>(params.get_int("rx_ring", 8448))),
       entries_(static_cast<std::uint64_t>(params.get_int("ring_entries", 8))),
       buf_base_(static_cast<std::uint64_t>(params.get_int("buf_base", 6144))),
       slot_stride_(
           static_cast<std::uint64_t>(params.get_int("slot_stride", 64))),
-      latency_buckets_(static_cast<std::size_t>(
-          params.get_int("latency_buckets", 64))),
+      latency_buckets_(params.get_size("latency_buckets", 64)),
       latency_bucket_width_(static_cast<double>(
           params.get_int("latency_bucket_width", 32))) {
   if (entries_ == 0 || slot_stride_ == 0) {

@@ -23,7 +23,6 @@ using liberty::core::KernelSnapshot;
 using liberty::core::Netlist;
 using liberty::core::SchedulerKind;
 using liberty::core::Simulator;
-using liberty::core::StateWriter;
 using liberty::core::fnv1a_mix;
 using liberty::core::kFnv1aInit;
 using liberty::resil::FaultInjector;
@@ -163,7 +162,6 @@ Divergence bisect_window(const NetSpec& spec,
   sim_cand.observe_transfers(recorder(xfer_cand));
 
   const Cycle stop = window_end(window, every, spec.cycles);
-  StateWriter scratch;
   while (sim_ref.now() < stop) {
     const Cycle cycle = sim_ref.now();
     xfer_ref.clear();
@@ -175,8 +173,7 @@ Divergence bisect_window(const NetSpec& spec,
     const auto& mods_ref = ref.netlist.modules();
     const auto& mods_cand = other.netlist.modules();
     for (std::size_t i = 0; i < mods_ref.size(); ++i) {
-      if (mods_ref[i]->state_digest(scratch) !=
-          mods_cand[i]->state_digest(scratch)) {
+      if (mods_ref[i]->state_digest() != mods_cand[i]->state_digest()) {
         differing.push_back(mods_ref[i]->name());
       }
     }

@@ -144,14 +144,14 @@ CacheModule::CacheModule(const std::string& name, const Params& params)
       cpu_resp_(add_out("cpu_resp", 0, 1)),
       mem_req_(add_out("mem_req", 0, 1)),
       mem_resp_(add_in("mem_resp", AckMode::AutoAccept, 0, 1)),
-      model_(static_cast<std::size_t>(params.get_int("sets", 64)),
-             static_cast<std::size_t>(params.get_int("ways", 2)),
-             static_cast<std::size_t>(params.get_int("line_words", 4)),
+      model_(params.get_size("sets", 64),
+             params.get_size("ways", 2),
+             params.get_size("line_words", 4),
              replacement_from_string(
                  params.get_string("replacement", "lru")),
              static_cast<std::uint64_t>(params.get_int("seed", 7))),
       hit_latency_(static_cast<std::uint64_t>(params.get_int("hit_latency", 1))),
-      mshr_limit_(static_cast<std::size_t>(params.get_int("mshrs", 4))) {
+      mshr_limit_(params.get_size("mshrs", 4)) {
   write_allocate_ = params.get_bool("write_allocate", true);
   if (!write_allocate_) {
     throw liberty::ElaborationError(

@@ -19,8 +19,8 @@ MemoryCtl::MemoryCtl(const std::string& name, const Params& params)
       req_(add_in("req", AckMode::Managed, 0, 1)),
       resp_(add_out("resp", 0, 1)),
       latency_(static_cast<std::uint64_t>(params.get_int("latency", 20))),
-      line_words_(static_cast<std::size_t>(params.get_int("line_words", 4))),
-      bandwidth_(static_cast<std::size_t>(params.get_int("bandwidth", 1))) {
+      line_words_(params.get_size("line_words", 4)),
+      bandwidth_(params.get_size("bandwidth", 1)) {
   if (latency_ == 0 || line_words_ == 0) {
     throw liberty::ElaborationError("upl.memctl '" + name +
                                     "': latency and line_words must be >= 1");

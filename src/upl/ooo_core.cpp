@@ -13,12 +13,11 @@ using liberty::core::Params;
 
 OoOCore::OoOCore(const std::string& name, const Params& params)
     : Module(name),
-      width_(static_cast<std::size_t>(params.get_int("width", 4))),
-      window_size_(static_cast<std::size_t>(params.get_int("window", 32))),
-      rob_size_(static_cast<std::size_t>(params.get_int("rob", 64))),
+      width_(params.get_size("width", 4)),
+      window_size_(params.get_size("window", 32)),
+      rob_size_(params.get_size("rob", 64)),
       pred_(make_predictor(params.get_string("predictor", "gshare"),
-                           static_cast<std::size_t>(
-                               params.get_int("predictor_entries", 1024)))),
+                           params.get_size("predictor_entries", 1024))),
       mispredict_penalty_(static_cast<std::uint64_t>(
           params.get_int("mispredict_penalty", 8))),
       mul_latency_(
@@ -30,9 +29,9 @@ OoOCore::OoOCore(const std::string& name, const Params& params)
       max_instrs_(
           static_cast<std::uint64_t>(params.get_int("max_instrs", 1000000))),
       stop_on_halt_(params.get_bool("stop_on_halt", true)),
-      dcache_(static_cast<std::size_t>(params.get_int("dcache_sets", 64)),
-              static_cast<std::size_t>(params.get_int("dcache_ways", 4)),
-              static_cast<std::size_t>(params.get_int("dcache_line", 4)),
+      dcache_(params.get_size("dcache_sets", 64),
+              params.get_size("dcache_ways", 4),
+              params.get_size("dcache_line", 4),
               replacement_from_string(
                   params.get_string("dcache_replacement", "lru"))) {
   if (width_ == 0 || window_size_ == 0 || rob_size_ == 0) {

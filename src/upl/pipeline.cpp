@@ -111,9 +111,8 @@ FetchStage::FetchStage(const std::string& name, const Params& params)
     : StageBase(name, params, /*has_in=*/false, /*has_out=*/true),
       resolve_(add_in("resolve", AckMode::AutoAccept, 0, 1)),
       pred_(make_predictor(params.get_string("predictor", "bimodal"),
-                           static_cast<std::size_t>(
-                               params.get_int("predictor_entries", 1024)))),
-      btb_(static_cast<std::size_t>(params.get_int("btb_entries", 512))) {
+                           params.get_size("predictor_entries", 1024))),
+      btb_(params.get_size("btb_entries", 512)) {
   program_src_ = params.get_string("program", "");
 }
 

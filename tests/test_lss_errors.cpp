@@ -2,6 +2,7 @@
 // actionable diagnostic — never a crash, never a silently wrong netlist.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
 
 #include "liberty/core/lss/elaborator.hpp"
@@ -59,6 +60,40 @@ TEST(LssErrors, SelfRecursiveModuleHitsDepthLimit) {
       "}\n"
       "instance top : a;\n",
       "depth exceeds 256");
+}
+
+// Deep nesting must be cut off by the parser's nesting budget with a
+// located diagnostic, not by the process stack.
+TEST(LssErrors, DeepNestingIsDiagnosedNotACrash) {
+  const std::size_t deep = 100000;
+  const std::string parens = "param P = " + std::string(deep, '(') + "1" +
+                             std::string(deep, ')') + ";\n";
+  expect_diag(parens, "nesting depth exceeds 256");
+  EXPECT_NE(diagnostic(parens).find("test.lss:1:"), std::string::npos);
+  expect_diag("param P = " + std::string(deep, '-') + "1;\n",
+              "nesting depth exceeds 256");
+  std::string blocks;
+  for (std::size_t i = 0; i < deep; ++i) blocks += "if true {\n";
+  expect_diag(blocks, "nesting depth exceeds 256");
+  std::string chain = "if false { }";
+  for (std::size_t i = 0; i < deep; ++i) chain += " else if false { }";
+  expect_diag(chain + "\n", "nesting depth exceeds 256");
+}
+
+TEST(LssErrors, OrdinaryNestingStillParses) {
+  const std::size_t depth = 100;
+  std::string src = "param P = " + std::string(depth, '(') + "1" +
+                    std::string(depth, ')') + ";\n";
+  for (std::size_t i = 0; i < depth; ++i) src += "if P == 1 {\n";
+  src += "param Q = -(-(P));\n";
+  for (std::size_t i = 0; i < depth; ++i) src += "}\n";
+  EXPECT_EQ(diagnostic(src), "");
+}
+
+// A negative size parameter must not wrap around to an unbounded size_t.
+TEST(LssErrors, NegativeSizeParameterIsRejected) {
+  expect_diag("instance q : pcl.queue { depth = -5; };\n",
+              "parameter 'depth' must be non-negative, got -5");
 }
 
 TEST(LssErrors, DeclaredPortNeverExported) {

@@ -2,6 +2,9 @@
 // differential oracle's bisection rests on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -137,6 +140,99 @@ TEST(StateIo, Fnv1aMixMatchesByteSerialFnv1a) {
   }
   static_assert(liberty::core::fnv1a_mix(liberty::core::kFnv1aInit, 0) ==
                 0xa8c7f832281a39c5ULL);
+}
+
+// --- Digest-only StateWriter -------------------------------------------------
+
+struct Tagged : liberty::Payload {
+  explicit Tagged(int n) : n(n) {}
+  [[nodiscard]] std::string describe() const override {
+    return "tagged#" + std::to_string(n);
+  }
+  int n;
+};
+
+template <typename Put>
+std::uint64_t streamed_digest(Put put) {
+  StateWriter w(StateWriter::digest_only);
+  put(w);
+  return w.digest();
+}
+
+// Module::state_digest streams save_state through a digest-only writer;
+// for every slot kind that must equal digest_slots over the slots a
+// storing writer keeps.
+TEST(StateIo, DigestOnlyWriterEqualsDigestSlotsForEverySlotKind) {
+  const auto check = [](const char* what, auto put) {
+    StateWriter stored;
+    put(stored);
+    EXPECT_EQ(streamed_digest(put), liberty::core::digest_slots(stored.slots()))
+        << what;
+  };
+  check("empty", [](StateWriter&) {});
+  check("bool", [](StateWriter& w) {
+    w.put_bool(true);
+    w.put_bool(false);
+  });
+  check("i64", [](StateWriter& w) {
+    w.put_i64(-42);
+    w.put_i64(0);
+    w.put_i64(std::numeric_limits<std::int64_t>::min());
+  });
+  check("u64", [](StateWriter& w) {
+    w.put_u64(0xdeadbeefULL);
+    w.put_u64(~0ULL);
+  });
+  check("size", [](StateWriter& w) { w.put_size(17); });
+  check("real", [](StateWriter& w) {
+    w.put_real(2.5);
+    w.put_real(-0.0);
+  });
+  check("string", [](StateWriter& w) {
+    w.put_string("hello");
+    w.put_string("");
+  });
+  check("payload", [](StateWriter& w) { w.put(Value::make<Tagged>(3)); });
+  check("token", [](StateWriter& w) { w.put(Value()); });
+  check("mixed", [](StateWriter& w) {
+    w.put_size(3);
+    w.put(Value::make<Tagged>(1));
+    w.put_real(0.125);
+    w.put(Value());
+    w.put_string("tail");
+    w.put_bool(true);
+  });
+}
+
+TEST(StateIo, DigestOnlyWriterIsOrderCountAndTypeSensitive) {
+  EXPECT_NE(streamed_digest([](StateWriter& w) {
+              w.put_i64(1);
+              w.put_i64(2);
+            }),
+            streamed_digest([](StateWriter& w) {
+              w.put_i64(2);
+              w.put_i64(1);
+            }));
+  EXPECT_NE(streamed_digest([](StateWriter&) {}),
+            streamed_digest([](StateWriter& w) { w.put_i64(0); }));
+  EXPECT_NE(streamed_digest([](StateWriter& w) { w.put_i64(1); }),
+            streamed_digest([](StateWriter& w) { w.put_bool(true); }));
+}
+
+TEST(StateIo, DigestOnlyWriterStoresNoSlot) {
+  const auto payload = std::make_shared<const Tagged>(7);
+  StateWriter w(StateWriter::digest_only);
+  w.put_bool(true);
+  w.put_i64(-1);
+  w.put_u64(2);
+  w.put_size(3);
+  w.put_real(4.0);
+  w.put_string("five");
+  w.put(Value(std::static_pointer_cast<const liberty::Payload>(payload)));
+  w.put(Value());
+  EXPECT_TRUE(w.slots().empty());
+  EXPECT_EQ(payload.use_count(), 1);  // no reference kept past the put
+  EXPECT_TRUE(std::move(w).take().empty());
 }
 
 // The core guarantee: restore + replay reproduces the original execution
