@@ -64,11 +64,11 @@ struct CellResult {
 
 CellResult run_cell(const scenario::RackConfig& cfg,
                     const testing::NetSpec& spec, core::SchedulerKind kind,
-                    unsigned threads, int opt_level) {
+                    int opt_level) {
   core::Netlist nl;
   spec.build(nl, rack_registry());
   opt::optimize(nl, opt::OptOptions::for_level(opt_level));
-  core::Simulator sim(nl, kind, threads);
+  core::Simulator sim(nl, kind);
   resil::TraceRecorder recorder(nl);
   sim.set_probe(&recorder);
   CellResult res;
@@ -117,20 +117,18 @@ int main() {
   struct Cell {
     const char* label;
     core::SchedulerKind kind;
-    unsigned threads;
   };
   std::vector<Cell> matrix = {
-      {"dynamic", core::SchedulerKind::Dynamic, 0},
-      {"static", core::SchedulerKind::Static, 0},
-      {"parallel", core::SchedulerKind::Parallel, 0},
-      {"compiled", core::SchedulerKind::Compiled, 0},
+      {"dynamic", core::SchedulerKind::Dynamic},
+      {"static", core::SchedulerKind::Static},
+      {"compiled", core::SchedulerKind::Compiled},
   };
   if (gen::native_available()) {
     // Digest identity at macro scale is the point of this row: whatever
     // the emitter declines inside the rack runs on the bytecode fallback
     // of the same scheduler, and the trace/state digests must still match
     // every other cell bit for bit.
-    matrix.push_back({"native", core::SchedulerKind::Native, 0});
+    matrix.push_back({"native", core::SchedulerKind::Native});
   } else {
     std::printf("(native codegen not built: configure with "
                 "-DLIBERTY_NATIVE_CODEGEN=ON for a native row)\n");
@@ -154,8 +152,7 @@ int main() {
   bool have_ref = false;
   for (const Cell& cell : matrix) {
     for (const int opt_level : {0, 2}) {
-      const CellResult res =
-          run_cell(cfg, spec, cell.kind, cell.threads, opt_level);
+      const CellResult res = run_cell(cfg, spec, cell.kind, opt_level);
       if (!have_ref) {
         ref_trace = res.trace_digest;
         ref_state = res.state_digest;

@@ -1,17 +1,11 @@
 // E8 (paper §2.3, ref [22]): fixing the model of computation makes the
 // specification analyzable — the statically scheduled simulator beats the
-// dynamic fixed-point scheduler, and the same analysis levelizes the
-// schedule into waves the parallel scheduler runs on a worker pool (see
-// docs/scheduling.md).
+// dynamic fixed-point scheduler (see docs/scheduling.md).
 //
 // Shape expectation: static scheduling reduces react() invocations per
 // cycle substantially (it calls each handler O(1) times on acyclic
-// netlists) and wins wall-clock across netlist types; the parallel
-// scheduler matches static's react counts and wins additionally on wide
-// netlists when real cores are available (on a single-core host its
-// barrier overhead makes it lose — the JSON records whichever is true).
-// All schedulers produce identical results (asserted here and across the
-// test suite).
+// netlists) and wins wall-clock across netlist types.  All schedulers
+// produce identical results (asserted here and across the test suite).
 //
 // The elaboration-time optimizer (docs/optimizer.md) rides the same
 // harness: every (netlist, scheduler) pair runs at -O0 and again at -O2,
@@ -45,10 +39,6 @@ namespace {
 struct NetKind {
   const char* name;
   void (*build)(core::Netlist&);
-  // Larger netlists additionally sweep the parallel scheduler across
-  // explicit thread counts (the base matrix runs it at hardware
-  // concurrency, which on a small host never exercises the worker pool).
-  bool thread_sweep = false;
 };
 
 void build_chains(core::Netlist& nl) {
@@ -182,10 +172,6 @@ struct Result {
   std::uint64_t react_calls = 0;
   double reacts_per_cycle = 0.0;
   std::uint64_t transfers = 0;
-  unsigned threads = 0;          // parallel only
-  std::uint64_t waves = 0;       // parallel only
-  std::uint64_t max_wave_width = 0;
-  std::uint64_t waves_dispatched = 0;
   std::vector<std::pair<std::string, std::uint64_t>> kernel;
 };
 
@@ -202,20 +188,13 @@ Result run_once(void (*build)(core::Netlist&), const SchedulerSpec& spec,
   // backend this is where the C++ emission, host-compiler invocation (or
   // cache hit) and dlopen happen.
   std::optional<core::Simulator> sim;
-  r.elab_s = time_seconds([&] { sim.emplace(nl, spec.kind, spec.threads); });
+  r.elab_s = time_seconds([&] { sim.emplace(nl, spec.kind); });
   r.wall_s = time_seconds([&] { sim->run(cycles); });
   r.kcps = static_cast<double>(cycles) / 1e3 / r.wall_s;
   r.react_calls = sim->scheduler().react_calls();
   r.reacts_per_cycle = static_cast<double>(r.react_calls) /
                        static_cast<double>(cycles);
   for (const auto& c : nl.connections()) r.transfers += c->transfer_count();
-  if (auto* par =
-          dynamic_cast<core::ParallelScheduler*>(&sim->scheduler())) {
-    r.threads = par->threads();
-    r.waves = par->wave_count();
-    r.max_wave_width = par->max_wave_width();
-    r.waves_dispatched = par->waves_dispatched();
-  }
   r.kernel = kernel_counters(sim->scheduler());
   return r;
 }
@@ -263,25 +242,25 @@ Result run(void (*build)(core::Netlist&), const SchedulerSpec& spec,
 }  // namespace
 
 int main() {
-  std::printf(
-      "E8: dynamic vs static vs parallel scheduling (ref [22] optimization)\n\n");
+  std::printf("E8: dynamic vs static vs compiled scheduling "
+              "(ref [22] optimization)\n\n");
   liberty::gen::ensure_registered();
-  const NetKind kinds[] = {{"pipelines x64", build_chains, true},
+  const NetKind kinds[] = {{"pipelines x64", build_chains},
                            {"mesh 4x4", build_mesh_4x4},
-                           {"mesh 8x8", build_mesh_8x8, true},
-                           {"arbiter trees", build_arbiters, true},
+                           {"mesh 8x8", build_mesh_8x8},
+                           {"arbiter trees", build_arbiters},
                            {"passthrough x32", build_passthrough},
                            {"const fold x32", build_const_fold},
                            {"burst idle", build_burst_idle}};
   constexpr std::uint64_t kCycles = 20'000;
   constexpr int kOptLevels[] = {0, 2};
   auto base_specs = scheduler_matrix();
-  base_specs.push_back({"compiled", core::SchedulerKind::Compiled, 0});
+  base_specs.push_back({"compiled", core::SchedulerKind::Compiled});
   if (gen::native_available()) {
-    // The fifth backend: per-netlist C++ compiled on the host and
+    // The fourth backend: per-netlist C++ compiled on the host and
     // dlopened; ineligible structures inside a netlist transparently run
     // on the compiled-bytecode fallback of the same scheduler.
-    base_specs.push_back({"native", core::SchedulerKind::Native, 0});
+    base_specs.push_back({"native", core::SchedulerKind::Native});
   } else {
     std::printf("(native codegen not built: configure with "
                 "-DLIBERTY_NATIVE_CODEGEN=ON for native rows)\n\n");
@@ -298,13 +277,7 @@ int main() {
            "O0 react/cyc", "O2 react/cyc"});
   bool diverged = false;
   for (const auto& k : kinds) {
-    auto specs = base_specs;
-    if (k.thread_sweep) {
-      for (const unsigned n : {1u, 2u, 4u, 8u}) {
-        specs.push_back({"parallel-" + std::to_string(n) + "t",
-                         core::SchedulerKind::Parallel, n});
-      }
-    }
+    const auto& specs = base_specs;
     json.object();
     json.field("name", k.name);
     json.begin_array("schedulers");
@@ -325,12 +298,6 @@ int main() {
         json.field("react_calls", r.react_calls);
         json.field("reacts_per_cycle", r.reacts_per_cycle);
         json.field("transfers", r.transfers);
-        if (spec.kind == core::SchedulerKind::Parallel) {
-          json.field("threads", r.threads);
-          json.field("waves", r.waves);
-          json.field("max_wave_width", r.max_wave_width);
-          json.field("waves_dispatched", r.waves_dispatched);
-        }
         if (spec.kind == core::SchedulerKind::Native) {
           // Elaboration cost, kept out of wall_s: cold includes emitting
           // and compiling the per-netlist C++; cached re-elaborates the

@@ -35,21 +35,16 @@ inline core::ModuleRegistry& registry() {
   return r;
 }
 
-/// One column of a scheduler comparison matrix.  `threads` applies to the
-/// parallel scheduler only (0 = hardware concurrency).
+/// One column of a scheduler comparison matrix.
 struct SchedulerSpec {
   std::string label;
   core::SchedulerKind kind;
-  unsigned threads = 0;
 };
 
-/// The standard comparison matrix: dynamic baseline, static sequential,
-/// wave-parallel at `parallel_threads`.
-inline std::vector<SchedulerSpec> scheduler_matrix(
-    unsigned parallel_threads = 0) {
-  return {{"dynamic", core::SchedulerKind::Dynamic, 0},
-          {"static", core::SchedulerKind::Static, 0},
-          {"parallel", core::SchedulerKind::Parallel, parallel_threads}};
+/// The standard comparison matrix: dynamic baseline, static sequential.
+inline std::vector<SchedulerSpec> scheduler_matrix() {
+  return {{"dynamic", core::SchedulerKind::Dynamic},
+          {"static", core::SchedulerKind::Static}};
 }
 
 /// Wall-clock seconds for a callable.

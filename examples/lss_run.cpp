@@ -4,9 +4,7 @@
 //     --cycles N          cycles to simulate                [10000]
 //     --param NAME=VALUE  override a top-level param (repeatable;
 //                         integers, reals, true/false, or strings)
-//     --scheduler dyn|static|parallel|compiled|native       [static]
-//     --threads N         worker threads for --scheduler parallel
-//                         (0 = hardware concurrency)        [0]
+//     --scheduler dyn|static|compiled|native                [static]
 //     --opt-level N       elaboration-time optimizer level 0..2 [2]
 //     --opt-report        print the optimizer's per-item report
 //     --dot FILE          write the netlist as Graphviz DOT and exit
@@ -51,7 +49,8 @@
 //     --kill-at N         raise(SIGKILL) after cycle N commits (crash-
 //                         recovery harness aid)
 //
-// Options also accept --flag=value spelling.
+// Options also accept --flag=value spelling.  Numeric values must be
+// unsigned decimal integers; anything else is a usage error (exit 2).
 //
 // This is the Figure-1 pipeline end to end: specification in, executable
 // simulator out, with the full component catalog available — plus the
@@ -83,6 +82,7 @@
 #include "liberty/resil/injector.hpp"
 #include "liberty/resil/recovery.hpp"
 #include "liberty/resil/watchdog.hpp"
+#include "liberty/support/strings.hpp"
 #include "liberty/upl/upl.hpp"
 
 namespace {
@@ -111,8 +111,8 @@ liberty::Value parse_value(const std::string& text) {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s SPEC.lss [--cycles N] [--param NAME=VALUE]...\n"
-               "       [--scheduler dyn|static|parallel|compiled|native]\n"
-               "       [--threads N] [--opt-level N] [--opt-report]\n"
+               "       [--scheduler dyn|static|compiled|native]\n"
+               "       [--opt-level N] [--opt-report]\n"
                "       [--dot FILE] [--dump-bytecode]\n"
                "       [--codegen-cache-dir DIR] [--dump-native-src FILE]\n"
                "       [--vcd FILE] [--profile FILE]\n"
@@ -134,7 +134,6 @@ int main(int argc, char** argv) {
   std::uint64_t cycles = 10'000;
   std::map<std::string, liberty::Value> overrides;
   auto kind = liberty::core::SchedulerKind::Static;
-  unsigned threads = 0;
   std::string dot_path;
   bool dump_bytecode = false;
   std::string vcd_path;
@@ -176,8 +175,18 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto next_u64 = [&]() -> std::uint64_t {
+      const char* v = next();
+      std::uint64_t out = 0;
+      if (!liberty::parse_u64(v, out)) {
+        std::fprintf(stderr, "error: %s wants an unsigned integer, got '%s'\n",
+                     arg.c_str(), v);
+        std::exit(usage(argv[0]));
+      }
+      return out;
+    };
     if (arg == "--cycles") {
-      cycles = std::strtoull(next(), nullptr, 10);
+      cycles = next_u64();
     } else if (arg == "--param") {
       const std::string kv = next();
       const auto eq = kv.find('=');
@@ -190,11 +199,10 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;
       }
-    } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
     } else if (arg == "--opt-level") {
-      opt_level = static_cast<int>(std::strtol(next(), nullptr, 10));
-      if (opt_level < 0 || opt_level > 2) return usage(argv[0]);
+      const std::uint64_t level = next_u64();
+      if (level > 2) return usage(argv[0]);
+      opt_level = static_cast<int>(level);
     } else if (arg == "--opt-report") {
       opt_report = true;
     } else if (arg == "--dot") {
@@ -214,7 +222,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics-csv") {
       metrics_csv_path = next();
     } else if (arg == "--heartbeat") {
-      heartbeat = std::strtoull(next(), nullptr, 10);
+      heartbeat = next_u64();
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--faults") {
@@ -222,9 +230,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--watchdog") {
       want_watchdog = true;
     } else if (arg == "--max-iters") {
-      max_iters = std::strtoull(next(), nullptr, 10);
+      max_iters = next_u64();
     } else if (arg == "--checkpoint-every") {
-      checkpoint_every = std::strtoull(next(), nullptr, 10);
+      checkpoint_every = next_u64();
     } else if (arg == "--recover") {
       recover_policy = next();
     } else if (arg == "--digest") {
@@ -232,11 +240,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--checkpoint-dir") {
       checkpoint_dir = next();
     } else if (arg == "--checkpoint-keep") {
-      checkpoint_keep = std::strtoull(next(), nullptr, 10);
+      checkpoint_keep = next_u64();
     } else if (arg == "--resume") {
       want_resume = true;
     } else if (arg == "--kill-at") {
-      kill_at = std::strtoull(next(), nullptr, 10);
+      kill_at = next_u64();
     } else if (!arg.empty() && arg[0] == '-') {
       return usage(argv[0]);
     } else {
@@ -308,7 +316,7 @@ int main(int argc, char** argv) {
       liberty::opt::optimize(twin,
                              liberty::opt::OptOptions::for_level(opt_level));
       liberty::core::Simulator ref(twin,
-                                   liberty::core::SchedulerKind::Static, 0);
+                                   liberty::core::SchedulerKind::Static);
       liberty::resil::Watchdog rec;
       rec.record_baseline();
       rec.attach(ref);
@@ -324,7 +332,6 @@ int main(int argc, char** argv) {
       // newest valid file.
       liberty::resil::SupervisorConfig scfg;
       scfg.scheduler = kind;
-      scfg.threads = threads;
       scfg.checkpoint_every = checkpoint_every;
       scfg.policy = recover_policy.empty()
                         ? liberty::resil::RecoveryPolicy::Abort
@@ -381,7 +388,6 @@ int main(int argc, char** argv) {
           meta.scheduler =
               std::string(sup.simulator()->scheduler().kind_name());
         }
-        meta.threads = threads;
         meta.cycles = rep.cycles;
         meta.git_rev = liberty::obs::current_git_rev();
         if (!metrics_path.empty()) {
@@ -400,7 +406,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    liberty::core::Simulator sim(netlist, kind, threads);
+    liberty::core::Simulator sim(netlist, kind);
     if (max_iters > 0) sim.scheduler().set_iteration_cap(max_iters);
     if (injector != nullptr) injector->install(sim);
     std::unique_ptr<liberty::core::VcdTracer> tracer;
@@ -497,7 +503,6 @@ int main(int argc, char** argv) {
       meta.tool = "lss_run";
       meta.spec = spec_path;
       meta.scheduler = std::string(sim.scheduler().kind_name());
-      meta.threads = threads;
       meta.cycles = ran;
       meta.git_rev = liberty::obs::current_git_rev();
       if (!metrics_path.empty()) {

@@ -14,8 +14,7 @@
 //     --seed N              synthetic workload seed             [1]
 //     --requests N          synthetic requests per node         [4]
 //     --cycles N            cycles to simulate                  [20000]
-//     --scheduler dyn|static|parallel|compiled|native           [static]
-//     --threads N           workers for --scheduler parallel    [0]
+//     --scheduler dyn|static|compiled|native                    [static]
 //     --opt-level N         elaboration-time optimizer 0..2     [2]
 //     --metrics FILE        liberty.metrics JSON (module stats +
 //                           scheduler counters + rack.* aggregates)
@@ -35,16 +34,18 @@
 //                           corrupt/torn files are listed and skipped
 //     --kill-at N           raise(SIGKILL) after cycle N commits
 //
-// Options also accept --flag=value spelling.  The run always reports
-// injected/completed request counts, end-to-end latency percentiles
-// (p50/p95/p99), throughput, and the mesh's Orion energy and thermal
-// aggregates.
+// Options also accept --flag=value spelling.  Numeric values must be
+// unsigned decimal integers; anything else is a usage error (exit 2).
+// The run always reports injected/completed request counts, end-to-end
+// latency percentiles (p50/p95/p99), throughput, and the mesh's Orion
+// energy and thermal aggregates.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -60,6 +61,7 @@
 #include "liberty/resil/watchdog.hpp"
 #include "liberty/scenario/rack.hpp"
 #include "liberty/scenario/trace_modules.hpp"
+#include "liberty/support/strings.hpp"
 
 namespace {
 
@@ -69,7 +71,7 @@ int usage(const char* argv0) {
       "usage: %s [--cols N] [--rows N] [--cores N] [--no-ooo]\n"
       "       [--ordering sc|tso] [--vcs N] [--link-latency N] [--iters N]\n"
       "       [--trace FILE] [--seed N] [--requests N] [--cycles N]\n"
-      "       [--scheduler dyn|static|parallel|compiled|native] [--threads N]\n"
+      "       [--scheduler dyn|static|compiled|native]\n"
       "       [--opt-level N] [--metrics FILE] [--metrics-csv FILE]\n"
       "       [--digest] [--records] [--print-spec] [--quiet]\n"
       "       [--checkpoint-dir DIR] [--checkpoint-every N]\n"
@@ -94,7 +96,6 @@ double percentile(const std::vector<double>& sorted, double q) {
 int main(int argc, char** argv) {
   liberty::scenario::RackConfig cfg;
   auto kind = liberty::core::SchedulerKind::Static;
-  unsigned threads = 0;
   int opt_level = 2;
   std::string trace_path;
   std::string metrics_path;
@@ -128,31 +129,45 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto next_u64 = [&]() -> std::uint64_t {
+      const char* v = next();
+      std::uint64_t out = 0;
+      if (!liberty::parse_u64(v, out)) {
+        std::fprintf(stderr, "error: %s wants an unsigned integer, got '%s'\n",
+                     arg.c_str(), v);
+        std::exit(usage(argv[0]));
+      }
+      return out;
+    };
     if (arg == "--cols") {
-      cfg.mesh_cols = std::strtoull(next(), nullptr, 10);
+      cfg.mesh_cols = next_u64();
     } else if (arg == "--rows") {
-      cfg.mesh_rows = std::strtoull(next(), nullptr, 10);
+      cfg.mesh_rows = next_u64();
     } else if (arg == "--cores") {
-      cfg.cores = std::strtoull(next(), nullptr, 10);
+      cfg.cores = next_u64();
     } else if (arg == "--no-ooo") {
       cfg.with_ooo = false;
     } else if (arg == "--ordering") {
       cfg.ordering = next();
     } else if (arg == "--vcs") {
-      cfg.vcs = std::strtoull(next(), nullptr, 10);
+      cfg.vcs = next_u64();
     } else if (arg == "--link-latency") {
-      cfg.link_latency =
-          static_cast<std::int64_t>(std::strtoll(next(), nullptr, 10));
+      const std::uint64_t latency = next_u64();
+      if (latency > static_cast<std::uint64_t>(
+                        std::numeric_limits<std::int64_t>::max())) {
+        return usage(argv[0]);
+      }
+      cfg.link_latency = static_cast<std::int64_t>(latency);
     } else if (arg == "--iters") {
-      cfg.worker_iters = std::strtoull(next(), nullptr, 10);
+      cfg.worker_iters = next_u64();
     } else if (arg == "--trace") {
       trace_path = next();
     } else if (arg == "--seed") {
-      cfg.seed = std::strtoull(next(), nullptr, 10);
+      cfg.seed = next_u64();
     } else if (arg == "--requests") {
-      cfg.requests_per_node = std::strtoull(next(), nullptr, 10);
+      cfg.requests_per_node = next_u64();
     } else if (arg == "--cycles") {
-      cfg.cycles = std::strtoull(next(), nullptr, 10);
+      cfg.cycles = next_u64();
     } else if (arg == "--scheduler") {
       try {
         kind = liberty::core::scheduler_kind_from_name(next());
@@ -160,11 +175,10 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;
       }
-    } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
     } else if (arg == "--opt-level") {
-      opt_level = static_cast<int>(std::strtol(next(), nullptr, 10));
-      if (opt_level < 0 || opt_level > 2) return usage(argv[0]);
+      const std::uint64_t level = next_u64();
+      if (level > 2) return usage(argv[0]);
+      opt_level = static_cast<int>(level);
     } else if (arg == "--metrics") {
       metrics_path = next();
     } else if (arg == "--metrics-csv") {
@@ -180,13 +194,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--checkpoint-dir") {
       checkpoint_dir = next();
     } else if (arg == "--checkpoint-every") {
-      checkpoint_every = std::strtoull(next(), nullptr, 10);
+      checkpoint_every = next_u64();
     } else if (arg == "--checkpoint-keep") {
-      checkpoint_keep = std::strtoull(next(), nullptr, 10);
+      checkpoint_keep = next_u64();
     } else if (arg == "--resume") {
       want_resume = true;
     } else if (arg == "--kill-at") {
-      kill_at = std::strtoull(next(), nullptr, 10);
+      kill_at = next_u64();
     } else {
       return usage(argv[0]);
     }
@@ -239,7 +253,6 @@ int main(int argc, char** argv) {
     if (!checkpoint_dir.empty()) {
       liberty::resil::SupervisorConfig scfg;
       scfg.scheduler = kind;
-      scfg.threads = threads;
       scfg.checkpoint_every = checkpoint_every;
       scfg.policy = liberty::resil::RecoveryPolicy::Abort;
       liberty::resil::DurableConfig dcfg;
@@ -263,7 +276,7 @@ int main(int argc, char** argv) {
       state_digest = rrep.state_digest;
     } else {
       sim_owner =
-          std::make_unique<liberty::core::Simulator>(netlist, kind, threads);
+          std::make_unique<liberty::core::Simulator>(netlist, kind);
       if (want_digest) {
         recorder = std::make_unique<liberty::resil::TraceRecorder>(netlist);
         sim_owner->set_probe(recorder.get());
@@ -362,7 +375,6 @@ int main(int argc, char** argv) {
       if (live_sim != nullptr) {
         meta.scheduler = std::string(live_sim->scheduler().kind_name());
       }
-      meta.threads = threads;
       meta.seed = cfg.seed;
       meta.cycles = ran;
       meta.git_rev = liberty::obs::current_git_rev();

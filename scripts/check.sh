@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # One-command verification: build and test the release configuration, then
-# the ASan+UBSan configuration (and ThreadSanitizer if requested).
+# the ASan+UBSan configuration.
 #
 #   scripts/check.sh            # release + asan-ubsan
-#   scripts/check.sh --tsan     # additionally build tsan and run `ctest -L tsan`
 #   scripts/check.sh --quick    # release only, skipping the `fuzz` label
 #
 # LIBERTY_NATIVE=1 configures the release build with the native codegen
@@ -15,13 +14,11 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-run_tsan=0
 quick=0
 for arg in "$@"; do
   case "$arg" in
-    --tsan) run_tsan=1 ;;
     --quick) quick=1 ;;
-    *) echo "usage: $0 [--tsan] [--quick]" >&2; exit 2 ;;
+    *) echo "usage: $0 [--quick]" >&2; exit 2 ;;
   esac
 done
 
@@ -252,14 +249,5 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan -j "$jobs"
 echo "=== asan+ubsan tests ==="
 ctest --test-dir build-asan --output-on-failure -j "$jobs" -LE fuzz
-
-if [ "$run_tsan" -eq 1 ]; then
-  echo "=== tsan build ==="
-  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DLIBERTY_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$jobs"
-  echo "=== tsan tests (label: tsan) ==="
-  ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L tsan
-fi
 
 echo "all checks passed"

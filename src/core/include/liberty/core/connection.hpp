@@ -23,24 +23,15 @@
 // module's functionality — e.g. to inject stalls, model faults, or filter
 // traffic without touching component code.
 //
-// Concurrency (ParallelScheduler): a channel is only ever *driven* from one
-// thread per wave (the cluster owning its driver module), but any module may
-// *observe* enable/ack concurrently.  The two control states are therefore
-// atomic: data_ is published before the enable_ store, so an observer that
-// sees the offer known may read data() without further synchronization.
-// enable_/ack_ use seq_cst so that when a forward and backward channel of
-// the same connection resolve concurrently on different threads, at least
-// one of the two resolutions observes the completed transfer (the schedulers
-// rely on this to maintain the transferred-connection dirty list without an
-// end-of-cycle scan).  Strictly single-threaded schedulers may switch a
-// connection into relaxed publication (SchedulerBase::set_relaxed_resolution)
-// to drop the seq_cst store fences from the resolve hot path; the dirty-list
-// guarantee then holds trivially because one thread performs every resolve.
-// Transfer gates require producer and consumer to be co-scheduled; gates
+// Concurrency: none.  The kernel is single-threaded, so the channel
+// control state is plain fields and every resolve happens on the thread
+// that runs the cycle.  One thread resolving each channel exactly once is
+// also what lets the schedulers maintain the transferred-connection dirty
+// list without an end-of-cycle scan: the second of a connection's two
+// resolutions is the one that sees the completed transfer.  Transfer gates
 // must be installed before scheduler construction.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -115,10 +106,10 @@ class Connection {
   // --- Forward channel ----------------------------------------------------
 
   [[nodiscard]] bool forward_known() const noexcept {
-    return known(enable_.load(std::memory_order_seq_cst));
+    return known(enable_);
   }
   [[nodiscard]] bool enabled() const noexcept {
-    return asserted(enable_.load(std::memory_order_seq_cst));
+    return asserted(enable_);
   }
   [[nodiscard]] const Value& data() const noexcept { return data_; }
 
@@ -130,10 +121,10 @@ class Connection {
   // --- Backward channel ---------------------------------------------------
 
   [[nodiscard]] bool ack_known() const noexcept {
-    return known(ack_.load(std::memory_order_seq_cst));
+    return known(ack_);
   }
   [[nodiscard]] bool acked() const noexcept {
-    return asserted(ack_.load(std::memory_order_seq_cst));
+    return asserted(ack_);
   }
 
   /// Consumer accepts this cycle's offer.  With a transfer gate installed,
@@ -161,15 +152,13 @@ class Connection {
   /// defaulting rather than by module code.  Nonzero values flag
   /// under-specified control in partial models.
   [[nodiscard]] std::uint64_t defaulted_count() const noexcept {
-    return defaulted_.load(std::memory_order_relaxed);
+    return defaulted_;
   }
 
   /// Bumps every time either channel resolves; a cheap global progress
-  /// measure.  Each half is written only by the thread that resolves that
-  /// channel, so the halves are plain single-writer counters.
+  /// measure.
   [[nodiscard]] std::uint64_t generation() const noexcept {
-    return gen_fwd_.load(std::memory_order_relaxed) +
-           gen_bwd_.load(std::memory_order_relaxed);
+    return gen_fwd_ + gen_bwd_;
   }
 
   [[nodiscard]] std::string describe() const;
@@ -207,48 +196,35 @@ class Connection {
 
   void resolve_forward_impl(Tristate enable, const Value& v) {
     if (forward_known()) {
-      if (enable_.load(std::memory_order_relaxed) == enable && data_ == v) {
+      if (enable_ == enable && data_ == v) {
         return;  // idempotent re-drive
       }
       throw liberty::SimulationError(
           "non-monotone forward drive on connection " + describe());
     }
-    // Published by the enable_ store below.  An unresolved channel's data_
-    // is always the post-reset token, so token drives (idle(), token
-    // traffic) skip the variant assignment — the idempotence compare above
-    // still holds because both sides stay monostate.
+    // An unresolved channel's data_ is always the post-reset token, so
+    // token drives (idle(), token traffic) skip the variant assignment —
+    // the idempotence compare above still holds because both sides stay
+    // monostate.
     if (!v.is_token()) data_ = v;
-    // The memory order must be a compile-time constant for the compiler to
-    // drop the fence, hence the explicit branch on relaxed_.
-    if (relaxed_) {
-      enable_.store(enable, std::memory_order_relaxed);
-    } else {
-      enable_.store(enable, std::memory_order_seq_cst);
-    }
-    gen_fwd_.store(gen_fwd_.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
+    enable_ = enable;
+    ++gen_fwd_;
     if (hooks_ != nullptr) hooks_->on_forward_resolved(*this);
     // A gated ack may have been waiting for the offer to become known.
-    if (known(pending_intent_.load(std::memory_order_relaxed)) &&
-        !ack_known()) {
-      finish_backward(apply_gate(pending_intent_.load(
-          std::memory_order_relaxed)));
+    if (known(pending_intent_) && !ack_known()) {
+      finish_backward(apply_gate(pending_intent_));
     }
   }
 
   void resolve_backward_impl(Tristate intent) {
-    const Tristate prev = intent_.load(std::memory_order_relaxed);
-    if (known(prev)) {
-      if (prev == intent) return;  // idempotent re-drive
+    if (known(intent_)) {
+      if (intent_ == intent) return;  // idempotent re-drive
       throw liberty::SimulationError(
           "non-monotone backward drive on connection " + describe());
     }
-    intent_.store(intent, std::memory_order_relaxed);
+    intent_ = intent;
     if (gate_ && asserted(intent) && !forward_known()) {
-      // Defer until the offer is known.  Gated connections are co-scheduled
-      // (producer and consumer share a cluster), so the producer's
-      // resolve_forward cannot race this store.
-      pending_intent_.store(intent, std::memory_order_relaxed);
+      pending_intent_ = intent;  // defer until the offer is known
       return;
     }
     finish_backward(apply_gate(intent));
@@ -262,14 +238,9 @@ class Connection {
   }
 
   void finish_backward(Tristate final_ack) {
-    pending_intent_.store(Tristate::Unknown, std::memory_order_relaxed);
-    if (relaxed_) {
-      ack_.store(final_ack, std::memory_order_relaxed);
-    } else {
-      ack_.store(final_ack, std::memory_order_seq_cst);
-    }
-    gen_bwd_.store(gen_bwd_.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
+    pending_intent_ = Tristate::Unknown;
+    ack_ = final_ack;
+    ++gen_bwd_;
     if (hooks_ != nullptr) hooks_->on_backward_resolved(*this);
   }
 
@@ -277,25 +248,18 @@ class Connection {
   /// transferred-connection dirty list).
   void note_transfer() noexcept { ++transfers_; }
 
-  /// Clear per-cycle channel state (scheduler end-of-cycle, single
-  /// threaded).
+  /// Clear per-cycle channel state (scheduler end-of-cycle).
   void reset_channels() noexcept {
-    enable_.store(Tristate::Unknown, std::memory_order_relaxed);
-    ack_.store(Tristate::Unknown, std::memory_order_relaxed);
-    intent_.store(Tristate::Unknown, std::memory_order_relaxed);
-    pending_intent_.store(Tristate::Unknown, std::memory_order_relaxed);
+    enable_ = Tristate::Unknown;
+    ack_ = Tristate::Unknown;
+    intent_ = Tristate::Unknown;
+    pending_intent_ = Tristate::Unknown;
     if (!data_.is_token()) data_ = Value();
   }
 
-  void note_defaulted() noexcept {
-    defaulted_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void note_defaulted() noexcept { ++defaulted_; }
   void set_hooks(ResolveHooks* h) noexcept { hooks_ = h; }
   void set_fault_hook(FaultHook* h) noexcept { fault_ = h; }
-  /// Relaxed channel-state publication (see file comment).  Only a
-  /// single-threaded scheduler may set this, and it must restore seq_cst
-  /// on teardown (SchedulerBase::set_relaxed_resolution handles both).
-  void set_relaxed(bool r) noexcept { relaxed_ = r; }
 
   ConnId id_;
   Module* producer_;
@@ -303,21 +267,20 @@ class Connection {
   std::string producer_ref_;
   std::string consumer_ref_;
   AckMode ack_mode_ = AckMode::AutoAccept;
-  bool relaxed_ = false;
   TransferGate gate_;
   ResolveHooks* hooks_ = nullptr;
   FaultHook* fault_ = nullptr;
 
-  std::atomic<Tristate> enable_{Tristate::Unknown};
-  std::atomic<Tristate> ack_{Tristate::Unknown};
-  std::atomic<Tristate> intent_{Tristate::Unknown};
-  std::atomic<Tristate> pending_intent_{Tristate::Unknown};
+  Tristate enable_ = Tristate::Unknown;
+  Tristate ack_ = Tristate::Unknown;
+  Tristate intent_ = Tristate::Unknown;
+  Tristate pending_intent_ = Tristate::Unknown;
   Value data_;
 
   std::uint64_t transfers_ = 0;
-  std::atomic<std::uint64_t> defaulted_{0};
-  std::atomic<std::uint32_t> gen_fwd_{0};
-  std::atomic<std::uint32_t> gen_bwd_{0};
+  std::uint64_t defaulted_ = 0;
+  std::uint32_t gen_fwd_ = 0;
+  std::uint32_t gen_bwd_ = 0;
 };
 
 }  // namespace liberty::core

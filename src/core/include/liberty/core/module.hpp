@@ -32,7 +32,6 @@
 // the discipline that makes the paper's default-control handshake compose.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <initializer_list>
 #include <limits>
@@ -186,7 +185,7 @@ class Module {
   std::string name_;
   ModuleId id_ = 0;
   Cycle now_ = 0;
-  std::atomic<bool>* stop_flag_ = nullptr;
+  bool* stop_flag_ = nullptr;
   std::vector<std::unique_ptr<Port>> ports_;
   liberty::StatSet stats_;
 };

@@ -6,7 +6,6 @@
 // Figure 1.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <unordered_map>
@@ -73,18 +72,10 @@ class Netlist {
   }
 
   /// True once any module has called Module::request_stop() this run.
-  /// Atomic because modules may request a stop from parallel-scheduler
-  /// worker threads.
-  [[nodiscard]] bool stop_requested() const noexcept {
-    return stop_flag_.load(std::memory_order_relaxed);
-  }
-  void clear_stop() noexcept {
-    stop_flag_.store(false, std::memory_order_relaxed);
-  }
+  [[nodiscard]] bool stop_requested() const noexcept { return stop_flag_; }
+  void clear_stop() noexcept { stop_flag_ = false; }
   /// Force the stop flag (Simulator::restore re-arms it from a snapshot).
-  void set_stop(bool v) noexcept {
-    stop_flag_.store(v, std::memory_order_relaxed);
-  }
+  void set_stop(bool v) noexcept { stop_flag_ = v; }
 
   /// Structural fingerprint of the elaborated netlist: instance names,
   /// connection endpoints/refs, ack modes, and quarantine state.  Two
@@ -131,7 +122,7 @@ class Netlist {
   friend class SchedulerBase;
 
   bool finalized_ = false;
-  std::atomic<bool> stop_flag_{false};
+  bool stop_flag_ = false;
   std::vector<std::unique_ptr<Module>> modules_;
   std::unordered_map<std::string, Module*> by_name_;
   std::vector<std::unique_ptr<Connection>> conns_;

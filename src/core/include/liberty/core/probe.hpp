@@ -1,22 +1,19 @@
 // KernelProbe: the kernel-side half of the observability layer.
 //
-// The schedulers are the only code that knows when a cycle phase starts,
-// which wave just ran, or how long a worker lane was busy — but the kernel
-// must not depend on exporters or aggregation policy.  KernelProbe is the
-// seam: a branch-on-null observer interface the scheduler invokes at
-// well-defined serialization points.  liberty::obs implements it
-// (CycleProfiler, ChromeTraceWriter); the kernel only ever sees this
-// abstract interface.
+// The schedulers are the only code that knows when a cycle phase starts or
+// how long each module's react() took — but the kernel must not depend on
+// exporters or aggregation policy.  KernelProbe is the seam: a
+// branch-on-null observer interface the scheduler invokes at well-defined
+// points of the cycle.  liberty::obs implements it (CycleProfiler,
+// ChromeTraceWriter); the kernel only ever sees this abstract interface.
 //
 // Cost contract: with no probe installed every instrumentation site is a
 // single null/flag check (measured <2% on bench_scheduler, see
 // docs/observability.md).  With a probe installed the kernel additionally
 // reads the monotonic clock around each phase and each react() call.
 //
-// Threading contract: all callbacks are serialized.  They fire either on
-// the main simulation thread, or (on_module_batch only) on a parallel
-// worker thread while it holds the scheduler's pool mutex — never
-// concurrently.  Probes may therefore aggregate into plain fields.
+// Threading contract: every callback fires on the thread running the
+// simulation, so probes may aggregate into plain fields.
 #pragma once
 
 #include <cstddef>
@@ -66,22 +63,10 @@ class KernelProbe {
   /// end of the phase, so an exporter can reconstruct the start time.
   virtual void on_phase(SchedPhase, Cycle, double /*seconds*/) {}
 
-  /// ParallelScheduler: one dispatched wave completed (all clusters done,
-  /// workers joined).  `clusters` is the wave's cluster count, `seconds`
-  /// the wall time between dispatch and join.
-  virtual void on_wave(Cycle, std::size_t /*wave*/, std::size_t /*clusters*/,
-                       double /*seconds*/) {}
-
-  /// Per-lane busy time within the wave reported by the immediately
-  /// preceding on_wave (lane 0 is the main thread).  Idle time is the
-  /// wave's wall time minus the lane's busy time.
-  virtual void on_lane(Cycle, std::size_t /*wave*/, unsigned /*lane*/,
-                       double /*busy_seconds*/) {}
-
-  /// Per-module react() attribution, flushed from a thread's accumulation
-  /// buffers at a synchronization point: `reacts[id]` invocations and
-  /// `seconds[id]` wall time for module id in [0, n).  Buffers are zeroed
-  /// after the call; probes accumulate across batches.
+  /// Per-module react() attribution, flushed from the scheduler's buffers
+  /// at the end of each cycle: `reacts[id]` invocations and `seconds[id]`
+  /// wall time for module id in [0, n).  Buffers are zeroed after the
+  /// call; probes accumulate across batches.
   virtual void on_module_batch(const std::uint64_t* /*reacts*/,
                                const double* /*seconds*/, std::size_t /*n*/) {
   }

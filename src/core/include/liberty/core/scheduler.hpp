@@ -7,7 +7,8 @@
 // by the kernel (forward channels to "offers nothing", managed backward
 // channels to "refuses") — this is what lets partial specifications simulate.
 //
-// Three interchangeable schedulers compute that fixed point:
+// Two interchangeable schedulers here compute that fixed point (liberty_gen
+// adds the compiled and native backends, which run the static schedule):
 //
 //  * DynamicScheduler — event-driven worklist.  Whenever a channel resolves,
 //    the module observing it is re-activated.  No knowledge of module
@@ -21,26 +22,16 @@
 //    the paper's §2.3 claim (ref [22], Penry & August, DAC 2003) that fixing
 //    the MoC makes the specification analyzable for optimization.
 //
-//  * ParallelScheduler — levelizes the same SCC condensation DAG into
-//    execution *waves* (sets of SCCs with no dependencies between them),
-//    coarsens each wave into per-module clusters so no module's react() is
-//    ever invoked from two threads concurrently, and executes the clusters
-//    of each wave on a persistent worker pool.  See docs/scheduling.md.
-//
 // All schedulers produce bit-identical simulations; tests verify this on
-// every component library and on randomized netlists.
+// every component library and on randomized netlists.  The kernel is
+// single-threaded: one thread runs every phase of a cycle, so scheduler,
+// gate and channel state are plain fields.
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "liberty/core/netlist.hpp"
@@ -51,20 +42,19 @@ namespace liberty::core {
 
 namespace detail {
 
-/// Per-thread resolution bookkeeping shared by all schedulers.  Hooks fire
-/// on whichever thread resolves a channel; accumulating into a thread-local
-/// context keeps the hot path free of shared-counter contention, and the
-/// schedulers fold the deltas back into their own totals at well-defined
-/// synchronization points (end of run_cycle; end of each parallel wave).
+/// Per-cycle resolution bookkeeping of one scheduler (SchedulerBase::ctx_).
+/// run_cycle zeroes it at the top of each cycle and folds it into the
+/// scheduler's totals as the cycle completes, so a cycle that aborts
+/// mid-resolve adds nothing to them.
 struct ResolveCtx {
   std::uint64_t resolutions = 0;  // channel resolutions observed
   std::uint64_t reacts = 0;       // Module::react invocations
   std::uint64_t defaults = 0;     // kernel defaulting actions
   std::vector<Connection*> transferred;  // dirty list: completed transfers
 
-  // Profiling lane (active only while a KernelProbe is installed): per-
-  // module react attribution, flushed to the probe and zeroed at the same
-  // synchronization points as the counters above.
+  // Profiling (active only while a KernelProbe is installed): per-module
+  // react attribution, flushed to the probe and zeroed at the end of every
+  // cycle.
   bool timing = false;
   std::vector<std::uint64_t> mod_reacts;
   std::vector<double> mod_seconds;
@@ -77,16 +67,13 @@ struct ResolveCtx {
   }
 };
 
-extern thread_local ResolveCtx t_resolve_ctx;
-
 void timed_react(Module& m, ResolveCtx& ctx);
 
 }  // namespace detail
 
 /// Channel dependency graph + SCC condensation of one netlist, built from
 /// the dependencies modules declare.  This is the §2.3 analysis artifact;
-/// the static scheduler walks its SCCs sequentially and the parallel
-/// scheduler levelizes them into waves.
+/// the static scheduler walks its SCCs in topological order.
 class ScheduleGraph {
  public:
   struct Node {
@@ -122,15 +109,6 @@ class ScheduleGraph {
   }
   [[nodiscard]] std::size_t largest_scc() const noexcept;
 
-  /// The module whose cluster is responsible for executing a node: the
-  /// driver when one exists, otherwise (kernel-driven AutoAccept acks) the
-  /// connection's producer, so the kernel drive happens on the same thread
-  /// that resolved the forward channel.
-  [[nodiscard]] Module* home_module(ChannelId ch) const noexcept {
-    const Node& n = nodes_[ch];
-    return n.driver != nullptr ? n.driver : n.conn->producer();
-  }
-
  private:
   void add_module_edges(Netlist& netlist,
                         std::vector<std::vector<ChannelId>>& succs,
@@ -159,12 +137,6 @@ class ScheduleGraph {
 /// channels sit in candidate SCCs additionally skip cycle_start while
 /// asleep, and skip end_of_cycle unless one of their connections transferred
 /// this cycle (transfers must commit state wherever they land).
-///
-/// Thread-safety: per-SCC state is only touched by the cluster executing
-/// that SCC (single writer per wave, waves separated by barriers); the
-/// per-module asleep flags are atomic because wake decisions from one SCC's
-/// cluster race reads from none but TSan-visible skip checks.  Cache
-/// refresh and per-cycle reset run on the main thread between cycles.
 class QuiescenceGate {
  public:
   using CounterVisitor =
@@ -185,7 +157,7 @@ class QuiescenceGate {
     return candidates_;
   }
   [[nodiscard]] bool module_asleep(ModuleId id) const noexcept {
-    return enabled_ && asleep_[id].load(std::memory_order_relaxed) != 0;
+    return enabled_ && asleep_[id] != 0;
   }
   /// Structural: may this module ever be marked asleep?  Lowering uses this
   /// to keep the asleep check out of opcodes for modules that cannot sleep
@@ -215,7 +187,7 @@ class QuiescenceGate {
     if (!enabled_ || suspended_ || candidate_[scc] == 0) return false;
     return try_sleep_slow(scc, cycle, woken);
   }
-  /// Stamp modules adjacent to this cycle's transfers (pre-dedup dirty
+  /// Stamp modules adjacent to this cycle's transfers (the unsorted dirty
   /// list) so skip_end_of_cycle keeps their commit hook.
   void mark_transfers(const std::vector<Connection*>& transferred,
                       std::uint64_t token);
@@ -223,7 +195,7 @@ class QuiescenceGate {
     return enabled_ && skip_end_of_cycle_slow(m, token);
   }
   /// Refresh caches from this cycle's resolved channels and re-sample
-  /// can_sleep() for next cycle.  Main thread, before reset_channels.
+  /// can_sleep() for next cycle.  Runs before reset_channels.
   /// `cycle` is the cycle that just finished; SCCs backed off past the next
   /// cycle skip the (Value-copying) snapshot entirely.
   void refresh(Cycle cycle);
@@ -271,7 +243,7 @@ class QuiescenceGate {
   std::vector<std::vector<std::uint32_t>> sccs_of_;  // module -> driven SCCs
   std::vector<char> gateable_;         // per module
   std::vector<char> sleep_ok_;         // per module, sampled at refresh
-  std::unique_ptr<std::atomic<std::uint8_t>[]> asleep_;  // per module
+  std::vector<char> asleep_;           // per module
   std::vector<char> slept_;            // per SCC, current cycle
   std::vector<char> cache_valid_;      // per SCC
   // Exponential backoff for SCCs that keep failing to sleep: a failed
@@ -316,8 +288,7 @@ class QuiescenceGate {
   std::vector<Tristate> cached_sig_;   // per channel
   std::vector<Value> cached_val_;      // per channel (asserted forwards)
   std::vector<std::uint64_t> eoc_stamp_;  // per module: last transfer cycle
-  // Counters.  Per-SCC vectors are single-writer (the SCC's cluster);
-  // eoc_skips_ is main-thread only.
+  // Counters.
   std::vector<std::uint64_t> scc_sleeps_;
   std::vector<std::uint64_t> scc_wakes_;
   std::uint64_t eoc_skips_ = 0;
@@ -325,7 +296,7 @@ class QuiescenceGate {
 
 class FaultHook;
 
-/// Fixed-point iteration guard: an SCC (static/parallel) or worklist
+/// Fixed-point iteration guard: an SCC (static/compiled) or worklist
 /// (dynamic) that exceeds this many passes in one cycle is reported as a
 /// non-converging combinational loop instead of spinning.  Monotone channel
 /// resolution structurally bounds genuine work well below this, so the
@@ -463,29 +434,20 @@ class SchedulerBase : public ResolveHooks {
   /// does not extend to subclasses, so phase overrides stamp through this.
   static void set_now(Module& m, Cycle c) noexcept { m.now_ = c; }
 
-  /// Switch every connection of this netlist between seq_cst (default)
-  /// and relaxed channel-state publication.  A single-threaded backend
-  /// drops the seq_cst store cost; must never be relaxed while a
-  /// concurrent resolver (ParallelScheduler) could touch the channels.
-  void set_relaxed_resolution(bool relaxed) noexcept;
-
-  /// Record a channel resolution in the current thread's context.  When the
-  /// resolution completes a transfer, the connection joins the dirty list
-  /// (the seq_cst enable/ack ordering in Connection guarantees at least one
-  /// of the two resolving threads sees the completed pair; duplicates are
-  /// removed at end of cycle).
-  static void note_resolved(Connection& c) {
-    detail::ResolveCtx& ctx = detail::t_resolve_ctx;
-    ++ctx.resolutions;
-    if (c.transferred()) ctx.transferred.push_back(&c);
+  /// Record a channel resolution.  When the resolution completes a
+  /// transfer, the connection joins the dirty list: of a connection's two
+  /// resolutions only the second sees both channels asserted, so each
+  /// transfer is recorded exactly once.
+  void note_resolved(Connection& c) {
+    ++ctx_.resolutions;
+    if (c.transferred()) ctx_.transferred.push_back(&c);
   }
 
   void call_react(Module& m) {
     if (any_quarantined_ && quarantined_[m.id()] != 0) return;
-    detail::ResolveCtx& ctx = detail::t_resolve_ctx;
-    ++ctx.reacts;
-    if (ctx.timing) {
-      detail::timed_react(m, ctx);
+    ++ctx_.reacts;
+    if (ctx_.timing) {
+      detail::timed_react(m, ctx_);
     } else {
       m.react();
     }
@@ -498,10 +460,10 @@ class SchedulerBase : public ResolveHooks {
     return any_quarantined_ && quarantined_[id] != 0;
   }
   /// Resolve an undriven forward channel to "offers nothing".
-  static void default_forward(Connection& c);
+  void default_forward(Connection& c);
   /// Resolve an undriven managed backward channel to "refuses".  Skipped
   /// when a gated intent is still pending (it resolves with its forward).
-  static void default_backward(Connection& c);
+  void default_backward(Connection& c);
   /// Kernel drive for an AutoAccept backward channel whose forward is
   /// known.
   static void apply_auto_accept(Connection& c);
@@ -510,15 +472,6 @@ class SchedulerBase : public ResolveHooks {
 
   /// Sum of connection generations: a cheap global progress measure.
   [[nodiscard]] std::uint64_t total_generation() const noexcept;
-
-  /// Fold worker-thread deltas into this scheduler's totals (called by the
-  /// parallel scheduler at wave joins, under its pool mutex).
-  void absorb(const detail::ResolveCtx& delta);
-
-  /// Flush `ctx`'s per-module profiling buffers into the probe and zero
-  /// them.  Serialized by construction: called on the main thread between
-  /// waves, or from a worker under the pool mutex.
-  void flush_profile(detail::ResolveCtx& ctx);
 
   // ---- Optimizer consumption ---------------------------------------------
   //
@@ -541,9 +494,7 @@ class SchedulerBase : public ResolveHooks {
   }
 
   /// Per-chain runtime state: cycle stamps making each sweep single-shot,
-  /// and sweep counters.  Single writer per wave (chain members are
-  /// clustered together by the parallel scheduler), wave barriers order
-  /// cross-thread access.
+  /// and sweep counters.
   struct ChainState {
     std::uint64_t fwd_stamp = 0;
     std::uint64_t bwd_stamp = 0;
@@ -577,9 +528,8 @@ class SchedulerBase : public ResolveHooks {
   std::vector<Module*> module_tape_;
   std::vector<Connection*> conn_tape_;
 
-  // Per-cycle accounting merged from worker threads (parallel waves).
-  std::uint64_t cycle_resolutions_ = 0;
-  std::vector<Connection*> cycle_transferred_;
+  // This cycle's resolutions, reacts, defaults and dirty list.
+  detail::ResolveCtx ctx_;
 
  private:
   void verify_resolved(Cycle cycle) const;
@@ -632,7 +582,7 @@ class DynamicScheduler final : public SchedulerBase {
   std::size_t high_water_ = 0;
 };
 
-/// Shared machinery of the analysis-driven schedulers (static & parallel):
+/// Shared machinery of the analysis-driven schedulers (static & compiled):
 /// node execution, SCC fixed-point iteration, and the endgame for channels
 /// the schedule could not attribute.
 class AnalyzedScheduler : public SchedulerBase {
@@ -682,9 +632,7 @@ class AnalyzedScheduler : public SchedulerBase {
   // discovery and defaulting-order sorts in the old run_scc hot path).
   std::vector<std::vector<Module*>> scc_drivers_;
   std::vector<std::vector<ChannelId>> scc_order_;  // forwards first
-  // Introspection counters.  scc_iters_ entries are only ever bumped by
-  // the one thread executing that SCC's cluster, so plain counters are
-  // safe under the parallel scheduler.
+  // Introspection counters.
   std::vector<std::uint64_t> scc_iters_;
   std::uint64_t cleanup_activations_ = 0;
 };
@@ -701,82 +649,6 @@ class StaticScheduler final : public AnalyzedScheduler {
 
  protected:
   void resolve_cycle() override;
-};
-
-/// Wave-parallel resolver: SCCs of the condensation DAG are levelized into
-/// waves, waves are coarsened into per-module clusters, and each wave's
-/// clusters run concurrently on a persistent worker pool.
-class ParallelScheduler final : public AnalyzedScheduler {
- public:
-  /// `threads` == 0 selects std::thread::hardware_concurrency().
-  explicit ParallelScheduler(Netlist& netlist, unsigned threads = 0);
-  ~ParallelScheduler() override;
-
-  [[nodiscard]] std::string_view kind_name() const override {
-    return "parallel";
-  }
-
-  [[nodiscard]] unsigned threads() const noexcept { return threads_; }
-  [[nodiscard]] std::size_t wave_count() const noexcept {
-    return waves_.size();
-  }
-  [[nodiscard]] std::size_t cluster_count() const noexcept {
-    return clusters_.size();
-  }
-  /// Largest number of independently executable clusters in any wave (the
-  /// available parallelism of this netlist's schedule).
-  [[nodiscard]] std::size_t max_wave_width() const noexcept;
-
-  void visit_counters(const CounterVisitor& visit) const override;
-
-  /// Waves handed to the worker pool vs. run inline on the main thread
-  /// (narrow waves skip the cross-thread handoff), across all cycles.
-  [[nodiscard]] std::uint64_t waves_dispatched() const noexcept {
-    return waves_dispatched_;
-  }
-  [[nodiscard]] std::uint64_t waves_inline() const noexcept {
-    return waves_inline_;
-  }
-
- protected:
-  void resolve_cycle() override;
-
- private:
-  struct Cluster {
-    std::vector<std::uint32_t> sccs;  // indices into graph_.sccs()
-  };
-  struct Wave {
-    std::uint32_t first = 0;  // [first, last) into clusters_
-    std::uint32_t last = 0;
-  };
-
-  void build_waves();
-  void run_cluster(const Cluster& cl);
-  void process_clusters();  // pull clusters via next_ until the wave is dry
-  void dispatch_wave(const Wave& w, std::size_t wave_index, Cycle cycle);
-  void worker_main(unsigned lane);
-
-  unsigned threads_ = 1;
-  std::vector<Cluster> clusters_;
-  std::vector<Wave> waves_;
-  std::uint64_t waves_dispatched_ = 0;
-  std::uint64_t waves_inline_ = 0;
-
-  // --- worker pool ---------------------------------------------------------
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t job_epoch_ = 0;   // bumped per dispatched wave
-  std::uint32_t job_first_ = 0;   // cluster range of the current wave
-  std::uint32_t job_last_ = 0;
-  std::size_t job_chunk_ = 1;
-  bool job_profile_ = false;      // workers time their busy span this wave
-  unsigned workers_active_ = 0;
-  bool shutdown_ = false;
-  std::exception_ptr worker_error_;
-  std::vector<double> lane_busy_;  // per-lane busy seconds, current wave
-  std::atomic<std::uint32_t> next_{0};  // chunked work-stealing index
-  std::vector<std::jthread> pool_;
 };
 
 }  // namespace liberty::core

@@ -18,7 +18,15 @@
 
 namespace liberty::core {
 
-enum class SchedulerKind { Dynamic, Static, Parallel, Compiled, Native };
+enum class SchedulerKind { Dynamic, Static, Compiled, Native };
+
+inline constexpr SchedulerKind kSchedulerKinds[] = {
+    SchedulerKind::Dynamic, SchedulerKind::Static, SchedulerKind::Compiled,
+    SchedulerKind::Native};
+
+/// The name a scheduler of this kind reports through kind_name():
+/// "dynamic", "static", "compiled" or "native".
+[[nodiscard]] std::string_view scheduler_kind_name(SchedulerKind kind) noexcept;
 
 /// A between-cycles image of one simulator: the cycle counter, the stop
 /// flag, and every module's save_state slots.  Snapshots are cheap (values
@@ -39,8 +47,8 @@ struct KernelSnapshot {
   }
 };
 
-/// Parse a scheduler name ("dyn"/"dynamic", "static", "par"/"parallel",
-/// "compiled", "native"); throws ElaborationError naming the valid
+/// Parse a scheduler name ("dyn"/"dynamic", "static", "comp"/"compiled",
+/// "native"); throws ElaborationError naming the valid
 /// spellings on anything else.  Shared by lss_run, bench_util and any
 /// other front end exposing the scheduler knob.
 [[nodiscard]] SchedulerKind scheduler_kind_from_name(std::string_view name);
@@ -65,11 +73,8 @@ void set_native_scheduler_factory(NativeSchedulerFactory factory);
 
 class Simulator {
  public:
-  /// `threads` applies to SchedulerKind::Parallel only; 0 selects
-  /// std::thread::hardware_concurrency().
   explicit Simulator(Netlist& netlist,
-                     SchedulerKind kind = SchedulerKind::Dynamic,
-                     unsigned threads = 0);
+                     SchedulerKind kind = SchedulerKind::Dynamic);
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;

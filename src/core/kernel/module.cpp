@@ -53,9 +53,7 @@ Port& Module::add_out(std::string name, std::size_t min_conns,
 }
 
 void Module::request_stop() noexcept {
-  if (stop_flag_ != nullptr) {
-    stop_flag_->store(true, std::memory_order_relaxed);
-  }
+  if (stop_flag_ != nullptr) *stop_flag_ = true;
 }
 
 }  // namespace liberty::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -12,8 +11,6 @@
 namespace liberty::core {
 
 namespace detail {
-thread_local ResolveCtx t_resolve_ctx;
-
 // Out of line so the untimed call_react fast path stays branch+call only.
 void timed_react(Module& m, ResolveCtx& ctx) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -346,10 +343,7 @@ void QuiescenceGate::build(const ScheduleGraph& graph, const OptPlan& plan,
 
   enabled_ = true;
   sleep_ok_.assign(n_mod, 0);
-  asleep_ = std::make_unique<std::atomic<std::uint8_t>[]>(n_mod);
-  for (std::size_t i = 0; i < n_mod; ++i) {
-    asleep_[i].store(0, std::memory_order_relaxed);
-  }
+  asleep_.assign(n_mod, 0);
   slept_.assign(n_scc, 0);
   cache_valid_.assign(n_scc, 0);
   attempt_at_.assign(n_scc, 0);
@@ -395,7 +389,7 @@ void QuiescenceGate::begin_cycle(Cycle cycle) {
         }
       }
     }
-    asleep_[id].store(armed ? 1 : 0, std::memory_order_relaxed);
+    asleep_[id] = armed ? 1 : 0;
   }
 }
 
@@ -452,7 +446,8 @@ bool QuiescenceGate::try_sleep_slow(std::uint32_t scc, Cycle cycle,
   SccInfo& si = info_[scc];
   const auto wake_drivers = [&] {
     for (Module* d : si.drivers) {
-      if (asleep_[d->id()].exchange(0, std::memory_order_relaxed) != 0) {
+      if (asleep_[d->id()] != 0) {
+        asleep_[d->id()] = 0;
         d->cycle_start(cycle);  // deferred start now that it must run
         if (woken != nullptr) woken->push_back(d);
       }
@@ -503,7 +498,7 @@ void QuiescenceGate::mark_transfers(
 bool QuiescenceGate::skip_end_of_cycle_slow(const Module& m,
                                             std::uint64_t token) {
   const ModuleId id = m.id();
-  if (asleep_[id].load(std::memory_order_relaxed) == 0) return false;
+  if (asleep_[id] == 0) return false;
   if (eoc_stamp_[id] == token) return false;  // adjacent transfer: commit
   ++eoc_skips_;
   return true;
@@ -519,14 +514,12 @@ void QuiescenceGate::retire_scc(std::uint32_t scc) {
   // rare and correctness beats the lost skip.
   for (Module* d : info_[scc].drivers) {
     gateable_[d->id()] = 0;
-    asleep_[d->id()].store(0, std::memory_order_relaxed);
+    asleep_[d->id()] = 0;
   }
 }
 
 void QuiescenceGate::clear_asleep() noexcept {
-  for (std::size_t i = 0; i < sleep_ok_.size(); ++i) {
-    asleep_[i].store(0, std::memory_order_relaxed);
-  }
+  std::fill(asleep_.begin(), asleep_.end(), 0);
 }
 
 void QuiescenceGate::drop_caches() {
@@ -726,9 +719,7 @@ void SchedulerBase::recover_after_abort() noexcept {
     st.bwd_stamp = 0;
   }
   gate_.invalidate();
-  cycle_transferred_.clear();
-  cycle_resolutions_ = 0;
-  detail::t_resolve_ctx.transferred.clear();
+  ctx_.transferred.clear();
 }
 
 void SchedulerBase::install_hooks(ResolveHooks* h) {
@@ -745,19 +736,19 @@ void SchedulerBase::default_forward(Connection& c) {
   if (c.forward_known()) return;
   c.idle();
   c.note_defaulted();
-  ++detail::t_resolve_ctx.defaults;
+  ++ctx_.defaults;
 }
 
 void SchedulerBase::default_backward(Connection& c) {
   if (c.ack_known()) return;
-  if (known(c.intent_.load(std::memory_order_relaxed))) return;
+  if (known(c.intent_)) return;
   c.nack();
   c.note_defaulted();
-  ++detail::t_resolve_ctx.defaults;
+  ++ctx_.defaults;
 }
 
 void SchedulerBase::apply_auto_accept(Connection& c) {
-  if (c.ack_known() || known(c.intent_.load(std::memory_order_relaxed))) {
+  if (c.ack_known() || known(c.intent_)) {
     return;
   }
   if (c.enabled()) {
@@ -852,25 +843,6 @@ void SchedulerBase::run_chain(std::size_t idx) {
   }
 }
 
-void SchedulerBase::absorb(const detail::ResolveCtx& delta) {
-  cycle_resolutions_ += delta.resolutions;
-  react_calls_ += delta.reacts;
-  defaults_ += delta.defaults;
-  cycle_transferred_.insert(cycle_transferred_.end(),
-                            delta.transferred.begin(),
-                            delta.transferred.end());
-}
-
-void SchedulerBase::flush_profile(detail::ResolveCtx& ctx) {
-  if (probe_ == nullptr) return;
-  const std::size_t n =
-      std::min(ctx.mod_reacts.size(), module_tape_.size());
-  if (n == 0) return;
-  probe_->on_module_batch(ctx.mod_reacts.data(), ctx.mod_seconds.data(), n);
-  std::fill(ctx.mod_reacts.begin(), ctx.mod_reacts.begin() + n, 0);
-  std::fill(ctx.mod_seconds.begin(), ctx.mod_seconds.begin() + n, 0.0);
-}
-
 void SchedulerBase::visit_counters(const CounterVisitor& visit) const {
   visit("cycles_run", cycles_run_);
   visit("react_calls", react_calls_);
@@ -915,7 +887,7 @@ void SchedulerBase::verify_resolved(Cycle cycle) const {
   // diagnostic) runs only in checked builds or when the aggregate is off
   // (e.g. a channel was driven outside run_cycle).
   const std::uint64_t expected = 2 * conn_tape_.size();
-  if (cycle_resolutions_ == expected && !kChecked) return;
+  if (ctx_.resolutions == expected && !kChecked) return;
   for (const Connection* c : conn_tape_) {
     if (!c->fully_resolved()) {
       throw liberty::SimulationError("internal: unresolved connection " +
@@ -931,13 +903,10 @@ void SchedulerBase::run_cycle(Cycle cycle) {
   // run, so a throwing hook (injected handler fault) aborts at a
   // scheduler-invariant, recovery-friendly point.
   if (fault_ != nullptr) fault_->begin_cycle(cycle);
-  detail::ResolveCtx& ctx = detail::t_resolve_ctx;
-  const std::uint64_t r0 = ctx.resolutions;
-  const std::uint64_t k0 = ctx.reacts;
-  const std::uint64_t d0 = ctx.defaults;
-  ctx.transferred.clear();
-  cycle_resolutions_ = 0;
-  cycle_transferred_.clear();
+  ctx_.resolutions = 0;
+  ctx_.reacts = 0;
+  ctx_.defaults = 0;
+  ctx_.transferred.clear();
 
   // Observability: with a probe installed the cycle is timed phase by
   // phase and react() calls are attributed per module; with none, the
@@ -947,8 +916,8 @@ void SchedulerBase::run_cycle(Cycle cycle) {
   clock::time_point mark;
   if (probe != nullptr) {
     probe->on_cycle_begin(cycle);
-    ctx.size_profile(module_tape_.size());
-    ctx.timing = true;
+    ctx_.size_profile(module_tape_.size());
+    ctx_.timing = true;
     mark = clock::now();
   }
   const auto end_phase = [&](SchedPhase p) {
@@ -967,16 +936,8 @@ void SchedulerBase::run_cycle(Cycle cycle) {
   if (probe != nullptr) end_phase(SchedPhase::CycleStart);
 
   resolve_cycle();
-
-  {
-    detail::ResolveCtx delta;
-    delta.resolutions = ctx.resolutions - r0;
-    delta.reacts = ctx.reacts - k0;
-    delta.defaults = ctx.defaults - d0;
-    delta.transferred = std::move(ctx.transferred);
-    ctx.transferred.clear();
-    absorb(delta);
-  }
+  react_calls_ += ctx_.reacts;
+  defaults_ += ctx_.defaults;
 
   verify_resolved(cycle);
   // Invariant window: everything resolved, nothing committed.  A probe
@@ -988,22 +949,29 @@ void SchedulerBase::run_cycle(Cycle cycle) {
   }
 
   // Transfers force end_of_cycle on their endpoint modules even when
-  // asleep: a transfer commits state wherever it lands.  The dirty list is
-  // pre-dedup here; duplicate marks are harmless.
+  // asleep: a transfer commits state wherever it lands.
   const std::uint64_t eoc_token = cycles_run_ + 1;
-  if (opt) gate_.mark_transfers(cycle_transferred_, eoc_token);
+  if (opt) gate_.mark_transfers(ctx_.transferred, eoc_token);
   update_phase(eoc_token);
   if (probe != nullptr) end_phase(SchedPhase::Update);
 
   // Commit transfers from the dirty list in canonical (connection id) order
-  // so observer streams are identical across schedulers; concurrent forward/
-  // backward resolution may record a transfer twice, hence the unique().
-  std::vector<Connection*>& dirty = cycle_transferred_;
+  // so observer streams are identical across schedulers.
+  std::vector<Connection*>& dirty = ctx_.transferred;
   std::sort(dirty.begin(), dirty.end(),
             [](const Connection* a, const Connection* b) {
               return a->id() < b->id();
             });
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+#if defined(LIBERTY_CHECKED_KERNEL)
+  // Each transfer is recorded exactly once (see note_resolved); a repeat
+  // would commit it twice.
+  const auto twice = std::adjacent_find(dirty.begin(), dirty.end());
+  if (twice != dirty.end()) {
+    throw liberty::SimulationError(
+        "internal: transfer recorded twice on connection " +
+        (*twice)->describe() + " at cycle " + std::to_string(cycle));
+  }
+#endif
   for (Connection* c : dirty) {
     c->note_transfer();
     for (const auto& obs : observers_) obs(*c, cycle);
@@ -1015,14 +983,22 @@ void SchedulerBase::run_cycle(Cycle cycle) {
 
   for (Connection* c : conn_tape_) c->reset_channels();
 
-  total_resolutions_ += cycle_resolutions_;
+  total_resolutions_ += ctx_.resolutions;
   transfers_committed_ += dirty.size();
   ++cycles_run_;
 
   if (probe != nullptr) {
     end_phase(SchedPhase::Commit);
-    flush_profile(ctx);
-    ctx.timing = false;
+    // Hand this cycle's per-module react attribution to the probe.
+    const std::size_t n =
+        std::min(ctx_.mod_reacts.size(), module_tape_.size());
+    if (n != 0) {
+      probe->on_module_batch(ctx_.mod_reacts.data(), ctx_.mod_seconds.data(),
+                             n);
+      std::fill(ctx_.mod_reacts.begin(), ctx_.mod_reacts.begin() + n, 0);
+      std::fill(ctx_.mod_seconds.begin(), ctx_.mod_seconds.begin() + n, 0.0);
+    }
+    ctx_.timing = false;
     probe->on_cycle_end(cycle);
   }
 }
@@ -1051,10 +1027,6 @@ void SchedulerBase::update_phase(std::uint64_t eoc_token) {
     }
     m->end_of_cycle();
   }
-}
-
-void SchedulerBase::set_relaxed_resolution(bool relaxed) noexcept {
-  for (Connection* c : conn_tape_) c->set_relaxed(relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -1310,10 +1282,10 @@ void AnalyzedScheduler::run_scc(std::size_t scc_index) {
   const std::vector<ChannelId>& group = graph_.sccs()[scc_index];
   const std::vector<Module*>& drivers = scc_drivers_[scc_index];
   const std::vector<ChannelId>& order = scc_order_[scc_index];
-  // Progress is detected through the thread-local resolution counter (every
-  // resolution this thread causes is observed by the hooks), replacing the
-  // old O(group) generation polling per pass with an O(1) check.
-  const std::uint64_t* resolutions = &detail::t_resolve_ctx.resolutions;
+  // Progress is detected through the resolution counter (every resolution
+  // is observed by the hooks), replacing the old O(group) generation
+  // polling per pass with an O(1) check.
+  const std::uint64_t* resolutions = &ctx_.resolutions;
   std::uint64_t passes = 0;
 
   while (true) {
@@ -1390,7 +1362,7 @@ void AnalyzedScheduler::cleanup_unresolved() {
   // gated ack whose intent was pending on a forward in a later SCC).
   // Mirrors the dynamic scheduler's quiesce-then-default loop globally.
   const std::size_t n_nodes = graph_.nodes().size();
-  const std::uint64_t* resolutions = &detail::t_resolve_ctx.resolutions;
+  const std::uint64_t* resolutions = &ctx_.resolutions;
   const std::uint64_t activation_limit =
       iter_cap_ == 0 ? 0 : iter_cap_ * (n_nodes + 1);
   std::uint64_t activations = 0;

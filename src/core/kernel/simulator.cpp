@@ -10,12 +10,21 @@ namespace liberty::core {
 SchedulerKind scheduler_kind_from_name(std::string_view name) {
   if (name == "dyn" || name == "dynamic") return SchedulerKind::Dynamic;
   if (name == "static") return SchedulerKind::Static;
-  if (name == "par" || name == "parallel") return SchedulerKind::Parallel;
   if (name == "comp" || name == "compiled") return SchedulerKind::Compiled;
   if (name == "native") return SchedulerKind::Native;
   throw liberty::ElaborationError(
       "unknown scheduler kind '" + std::string(name) +
-      "' (valid: dyn|dynamic, static, par|parallel, comp|compiled, native)");
+      "' (valid: dyn|dynamic, static, comp|compiled, native)");
+}
+
+std::string_view scheduler_kind_name(SchedulerKind kind) noexcept {
+  switch (kind) {
+    case SchedulerKind::Dynamic: return "dynamic";
+    case SchedulerKind::Static: return "static";
+    case SchedulerKind::Compiled: return "compiled";
+    case SchedulerKind::Native: return "native";
+  }
+  return "?";
 }
 
 namespace {
@@ -39,7 +48,7 @@ NativeSchedulerFactory native_scheduler_factory() {
   return g_native_factory;
 }
 
-Simulator::Simulator(Netlist& netlist, SchedulerKind kind, unsigned threads)
+Simulator::Simulator(Netlist& netlist, SchedulerKind kind)
     : netlist_(netlist) {
   switch (kind) {
     case SchedulerKind::Dynamic:
@@ -47,9 +56,6 @@ Simulator::Simulator(Netlist& netlist, SchedulerKind kind, unsigned threads)
       break;
     case SchedulerKind::Static:
       sched_ = std::make_unique<StaticScheduler>(netlist);
-      break;
-    case SchedulerKind::Parallel:
-      sched_ = std::make_unique<ParallelScheduler>(netlist, threads);
       break;
     case SchedulerKind::Compiled:
       if (g_compiled_factory == nullptr) {

@@ -269,12 +269,22 @@ class ElabContext {
       case Stmt::Kind::For: {
         const std::int64_t begin = ev.eval_int(*s.for_stmt.begin);
         const std::int64_t end = ev.eval_int(*s.for_stmt.end);
+        const Stmt* const outer = loop_;
+        loop_ = &s;
+        // The whole trip count is charged up front, so a loop that alone
+        // overruns the budget fails before its first iteration.
+        if (end > begin) {
+          charge(static_cast<std::uint64_t>(end) -
+                     static_cast<std::uint64_t>(begin),
+                 s.loc);
+        }
         for (std::int64_t i = begin; i < end; ++i) {
           env_.push();
           env_.define(s.loc, s.for_stmt.var, liberty::Value(i));
           exec_block(s.for_stmt.body, prefix, mctx, top_level);
           env_.pop();
         }
+        loop_ = outer;
         return;
       }
       case Stmt::Kind::If: {
@@ -300,7 +310,26 @@ class ElabContext {
     return out;
   }
 
+  /// Spend `steps` of the elaboration budget (kMaxElaborationSteps).  An
+  /// overrun is reported at the innermost loop being expanded, or at `loc`
+  /// when no loop is.
+  void charge(std::uint64_t steps, const SourceLoc& loc) {
+    if (steps <= kMaxElaborationSteps - steps_) {
+      steps_ += steps;
+      return;
+    }
+    const std::string budget =
+        "the elaboration budget of " + std::to_string(kMaxElaborationSteps) +
+        " steps (for iterations plus instances)";
+    if (loop_ != nullptr) {
+      fail(loop_->loc,
+           "for loop over '" + loop_->for_stmt.var + "' exceeds " + budget);
+    }
+    fail(loc, "instance exceeds " + budget);
+  }
+
   void exec_instance(const Stmt& s, const std::string& prefix) {
+    charge(1, s.loc);
     const InstanceDecl& decl = s.instance;
     std::string name = prefix;
     for (std::size_t i = 0; i < decl.name.size(); ++i) {
@@ -464,6 +493,8 @@ class ElabContext {
   std::map<std::string, std::string> aliases_;
   std::vector<PendingConnect> connects_;
   std::size_t depth_ = 0;
+  std::uint64_t steps_ = 0;         // elaboration budget spent so far
+  const Stmt* loop_ = nullptr;      // innermost for loop being expanded
 };
 
 }  // namespace

@@ -46,7 +46,6 @@ class Parser {
   // Every recursive production holds one of these for its extent, so a
   // hostile spec (100k nested parentheses, blocks or unary signs) ends in
   // a located diagnostic instead of overflowing the process stack.
-  static constexpr std::size_t kMaxNesting = 256;
   class Nest {
    public:
     explicit Nest(Parser& p) : p_(p) {

@@ -5,16 +5,14 @@
 // executing the three tapes.  It derives from AnalyzedScheduler so the
 // schedule graph, SCC fixed-point iteration (run_scc), fused-chain sweeps,
 // quiescence gate, fault seams and the generic cleanup endgame are shared
-// with the static/parallel schedulers — the tapes replace only the per-cycle
+// with the static scheduler — the tapes replace only the per-cycle
 // interpretation of that structure (virtual hook dispatch, per-node driver
 // lookups, plan-fact branches), which is where the steady-state time goes.
 //
 // Semantics: the resolve tape mirrors StaticScheduler::resolve_cycle exactly
 // (same SCC order, same react-then-default policy per node, same cleanup),
 // so the compiled scheduler inherits the static scheduler's bit-identity
-// with the dynamic baseline.  Because exactly one thread touches the
-// channels, the constructor also switches the netlist's connections to
-// relaxed channel publication (restored on destruction).
+// with the dynamic baseline.
 #pragma once
 
 #include <string>
@@ -30,7 +28,6 @@ namespace liberty::gen {
 class CompiledScheduler : public liberty::core::AnalyzedScheduler {
  public:
   explicit CompiledScheduler(liberty::core::Netlist& netlist);
-  ~CompiledScheduler() override;
 
   [[nodiscard]] std::string_view kind_name() const override {
     return "compiled";
@@ -78,7 +75,7 @@ class CompiledScheduler : public liberty::core::AnalyzedScheduler {
   // (no RunScc ops: multi-node SCC fixed points are the one construct whose
   // convergence loop needs the per-resolution hook counter).  In that mode
   // the constructor uninstalls the ResolveHooks — dropping a virtual call
-  // plus thread-local bookkeeping from every channel resolution — and
+  // plus the resolution bookkeeping from every channel resolution — and
   // resolve_cycle reconstructs the counters and the transferred dirty list
   // in one flat sweep after the tape halts, skipping the generic cleanup
   // endgame as well.  The checked-kernel audit still verifies full

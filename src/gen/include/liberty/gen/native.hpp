@@ -1,4 +1,4 @@
-// liberty::gen — true native codegen (the fifth scheduler).
+// liberty::gen — true native codegen (the fourth scheduler).
 //
 // Where CompiledScheduler lowers the netlist to bytecode and interprets
 // it, NativeScheduler emits one specialized C++ translation unit for the
@@ -90,7 +90,7 @@ void export_native_metrics(obs::MetricsRegistry& reg);
 /// so front ends need nothing new.
 void register_native_scheduler();
 
-/// The fifth scheduler.  Defined only in LIBERTY_NATIVE_CODEGEN builds;
+/// The fourth scheduler.  Defined only in LIBERTY_NATIVE_CODEGEN builds;
 /// construct through Simulator(..., SchedulerKind::Native) or directly
 /// when a test needs the introspection surface below.
 class NativeScheduler final : public CompiledScheduler {

@@ -22,11 +22,10 @@ namespace {
 
 // Devirtualized react: same bookkeeping as SchedulerBase::call_react, minus
 // the quarantine test (lowering never emits a react opcode for a
-// quarantined driver) and the virtual dispatch.  The profiling lane must
+// quarantined driver) and the virtual dispatch.  The profiled path must
 // stay virtual — timed_react attributes by module, not by static type.
 template <typename T>
-inline void react_as(core::Module& m) {
-  core::detail::ResolveCtx& ctx = core::detail::t_resolve_ctx;
+inline void react_as(core::detail::ResolveCtx& ctx, core::Module& m) {
   ++ctx.reacts;
   if (ctx.timing) {
     core::detail::timed_react(m, ctx);
@@ -66,13 +65,11 @@ void CompiledScheduler::resolve_cycle() {
   // Hooks are uninstalled (fast_resolve_): every channel resolved exactly
   // once — pre-resolved constants, tape ops, gate replays and pending-ack
   // drains included — so the counter is a constant and the transferred
-  // dirty list falls out of one flat state sweep.  run_cycle absorbs the
-  // context right after this returns; verify_resolved still audits the
-  // everything-resolved claim in checked builds.
-  core::detail::ResolveCtx& ctx = core::detail::t_resolve_ctx;
-  ctx.resolutions += 2 * static_cast<std::uint64_t>(conn_tape_.size());
+  // dirty list falls out of one flat state sweep.  verify_resolved still
+  // audits the everything-resolved claim in checked builds.
+  ctx_.resolutions += 2 * static_cast<std::uint64_t>(conn_tape_.size());
   for (core::Connection* c : conn_tape_) {
-    if (c->transferred()) ctx.transferred.push_back(c);
+    if (c->transferred()) ctx_.transferred.push_back(c);
   }
 }
 
@@ -199,7 +196,7 @@ vm_loop:
   VM_CASE(Fwd##K) {                                              \
     core::Connection& c = *conns[pc->b];                         \
     if (!c.forward_known()) {                                    \
-      react_as<LIBERTY_GEN_TYPE(K)>(*mods[pc->a]);               \
+      react_as<LIBERTY_GEN_TYPE(K)>(ctx_, *mods[pc->a]);         \
       if (!c.forward_known()) default_forward(c);                \
     }                                                            \
   }                                                              \
@@ -220,7 +217,7 @@ vm_loop:
   VM_CASE(Bwd##K) {                                              \
     core::Connection& c = *conns[pc->b];                         \
     if (!c.ack_known()) {                                        \
-      react_as<LIBERTY_GEN_TYPE(K)>(*mods[pc->a]);               \
+      react_as<LIBERTY_GEN_TYPE(K)>(ctx_, *mods[pc->a]);         \
       if (!c.ack_known()) default_backward(c);                   \
     }                                                            \
   }                                                              \

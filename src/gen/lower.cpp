@@ -26,19 +26,12 @@ namespace core = liberty::core;
 CompiledScheduler::CompiledScheduler(core::Netlist& netlist)
     : AnalyzedScheduler(netlist) {
   lower();
-  // Exactly one thread resolves channels under this backend, so the
-  // seq_cst publication fences in Connection buy nothing.  The destructor
-  // restores the default in case the netlist outlives this scheduler and
-  // is re-simulated with a parallel one.
-  set_relaxed_resolution(true);
   // Without RunScc ops every remaining opcode decides purely on channel
   // state, so the per-resolution hooks carry no information the end-of-
   // resolve sweep cannot recover; uninstalling them removes a virtual call
-  // and a thread-local touch from every send/ack (see fast_resolve_).
+  // and the resolution bookkeeping from every send/ack (see fast_resolve_).
   if (fast_resolve_) install_hooks(nullptr);
 }
-
-CompiledScheduler::~CompiledScheduler() { set_relaxed_resolution(false); }
 
 void CompiledScheduler::lower() {
   program_ = Program{};  // re-entrant: start_phase re-lowers on gate death

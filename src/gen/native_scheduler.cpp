@@ -229,10 +229,9 @@ void NativeScheduler::resolve_cycle() {
     // The fast sweep above accounted 2 resolutions for every connection
     // but saw no state for the native ones; feed their completed
     // transfers into the dirty list by hand (quiescence-gate food).
-    core::detail::ResolveCtx& ctx = core::detail::t_resolve_ctx;
     for (std::size_t i = 0; i < impl_->plan.channels.size(); ++i) {
       if (ch[i].en != 0 && ch[i].ack != 0) {
-        ctx.transferred.push_back(impl_->plan.channels[i]);
+        ctx_.transferred.push_back(impl_->plan.channels[i]);
       }
     }
   }

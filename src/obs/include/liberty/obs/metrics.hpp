@@ -9,13 +9,13 @@
 //   module.<instance>.<stat>     every module's StatSet (counters,
 //                                accumulators, histograms with quantiles)
 //   scheduler.<counter>          SchedulerBase::visit_counters — worklist
-//                                pushes, fixed-point passes, wave counts...
+//                                pushes, fixed-point passes, sleeps...
 //   profile.<...>                CycleProfiler aggregates (phase seconds,
-//                                per-module react time, lane busy/idle)
+//                                per-module react time)
 //
 // and exports them as a versioned JSON document (schema
 // "liberty.metrics", kMetricsSchemaVersion) or flat CSV, both carrying
-// run metadata (spec, scheduler, threads, seed, git revision) so that
+// run metadata (spec, scheduler, seed, git revision) so that
 // artifacts from different runs are comparable without side channels.
 #pragma once
 
@@ -37,7 +37,6 @@ struct RunMeta {
   std::string tool;       // producing binary, e.g. "lss_run"
   std::string spec;       // model identity: spec path, bench name, seed tag
   std::string scheduler;  // kind_name() of the scheduler used
-  unsigned threads = 0;   // parallel worker count (0 = n/a)
   std::uint64_t seed = 0;
   std::uint64_t cycles = 0;  // cycles simulated
   std::string git_rev;       // source revision, "unknown" when undetectable

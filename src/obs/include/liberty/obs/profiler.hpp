@@ -1,24 +1,19 @@
 // CycleProfiler: the KernelProbe implementation that turns the kernel's
 // raw timing callbacks into attributed aggregates.
 //
-// The kernel only times (steady_clock reads around phases, waves, lanes
-// and individual react() calls — see liberty/core/probe.hpp); this class
-// decides what those samples *mean*:
+// The kernel only times (steady_clock reads around phases and individual
+// react() calls — see liberty/core/probe.hpp); this class decides what
+// those samples *mean*:
 //
 //   per phase     wall seconds and invocation count for each SchedPhase
 //                 (cycle_start, resolve, update, commit)
 //   per module    react() invocations and attributed seconds, indexed by
 //                 ModuleId (delivered pre-aggregated via on_module_batch)
-//   per wave      dispatched-wave count, total cluster occupancy, and
-//                 summed wave wall time (ParallelScheduler only)
-//   per lane      busy seconds per worker lane; idle time is derived as
-//                 (lane count x wave wall) - busy
 //
 // A profiler may chain to a *sink* — another KernelProbe (in practice
-// ChromeTraceWriter) that receives the cycle/phase/wave/lane events for
-// streaming export.  on_module_batch is NOT forwarded: batches arrive
-// from worker threads under the pool mutex, and sinks are main-thread
-// writers.  All other callbacks are serialized by the kernel's contract.
+// ChromeTraceWriter) that receives the cycle/phase events for streaming
+// export.  on_module_batch is not forwarded: the profiler is where module
+// attribution is aggregated.
 #pragma once
 
 #include <array>
@@ -35,14 +30,10 @@ class CycleProfiler : public liberty::core::KernelProbe {
     double seconds = 0.0;
     std::uint64_t count = 0;
   };
-  struct LaneTotals {
-    double busy_seconds = 0.0;
-    std::uint64_t waves = 0;
-  };
 
-  /// Chain a downstream probe that receives cycle/phase/wave/lane events
-  /// (nullptr to unchain).  The sink must only be swapped while no
-  /// simulation is running.
+  /// Chain a downstream probe that receives cycle/phase events (nullptr to
+  /// unchain).  The sink must only be swapped while no simulation is
+  /// running.
   void set_sink(liberty::core::KernelProbe* sink) noexcept { sink_ = sink; }
 
   // KernelProbe ------------------------------------------------------------
@@ -50,10 +41,6 @@ class CycleProfiler : public liberty::core::KernelProbe {
   void on_cycle_end(liberty::core::Cycle c) override;
   void on_phase(liberty::core::SchedPhase phase, liberty::core::Cycle c,
                 double seconds) override;
-  void on_wave(liberty::core::Cycle c, std::size_t wave, std::size_t clusters,
-               double seconds) override;
-  void on_lane(liberty::core::Cycle c, std::size_t wave, unsigned lane,
-               double busy_seconds) override;
   void on_module_batch(const std::uint64_t* reacts, const double* seconds,
                        std::size_t n) override;
 
@@ -75,18 +62,6 @@ class CycleProfiler : public liberty::core::KernelProbe {
     return mod_seconds_;
   }
 
-  [[nodiscard]] std::uint64_t waves() const noexcept { return waves_; }
-  [[nodiscard]] std::uint64_t wave_clusters() const noexcept {
-    return wave_clusters_;
-  }
-  [[nodiscard]] double wave_seconds() const noexcept { return wave_seconds_; }
-  [[nodiscard]] const std::vector<LaneTotals>& lanes() const noexcept {
-    return lanes_;
-  }
-  /// Idle seconds across all lanes: for every dispatched wave each lane is
-  /// occupied for the wave's wall time, so idle = waves x wall - busy.
-  [[nodiscard]] double lane_idle_seconds() const noexcept;
-
   void reset();
 
  private:
@@ -96,14 +71,6 @@ class CycleProfiler : public liberty::core::KernelProbe {
   std::array<PhaseTotals, liberty::core::kSchedPhaseCount> phases_{};
   std::vector<std::uint64_t> mod_reacts_;
   std::vector<double> mod_seconds_;
-
-  std::uint64_t waves_ = 0;
-  std::uint64_t wave_clusters_ = 0;
-  double wave_seconds_ = 0.0;
-  // Wall seconds during which each lane was mobilized (sum of wave wall
-  // times), used to derive idle time per lane.
-  double lane_wall_seconds_ = 0.0;
-  std::vector<LaneTotals> lanes_;
 };
 
 }  // namespace liberty::obs

@@ -4,22 +4,17 @@
 // chrome://tracing.  Two synthetic "processes" organize the timeline:
 //
 //   pid 1  "liberty kernel"   tid 0 carries one "X" (complete) slice per
-//                             scheduler phase per cycle; wave slices nest
-//                             inside the resolve phase; tid 100+lane
-//                             carries per-lane busy slices of the
-//                             ParallelScheduler pool.
+//                             scheduler phase per cycle.
 //   pid 2  "transfers"        one flow-event pair ("s" producer ->
 //                             "f" consumer, tid = ModuleId) per completed
 //                             channel transfer, reusing the kernel's
 //                             TransferObserver seam.
 //
-// Timestamps are microseconds since writer construction; phase/wave/lane
-// slices arrive from the kernel as (end, duration) and are emitted with
-// ts = now - dur.  The writer is main-thread-only: it is installed as the
-// *sink* of a CycleProfiler (which never forwards the worker-thread
-// on_module_batch callback) or directly as the probe of a single-threaded
-// scheduler, and transfer observers run during the serialized commit
-// phase.
+// Timestamps are microseconds since writer construction; phase slices
+// arrive from the kernel as (end, duration) and are emitted with
+// ts = now - dur.  The writer is installed as the *sink* of a
+// CycleProfiler or directly as a scheduler's probe, and its transfer
+// observer runs during the commit phase.
 #pragma once
 
 #include <chrono>
@@ -59,10 +54,6 @@ class ChromeTraceWriter : public liberty::core::KernelProbe {
   // KernelProbe ------------------------------------------------------------
   void on_phase(liberty::core::SchedPhase phase, liberty::core::Cycle c,
                 double seconds) override;
-  void on_wave(liberty::core::Cycle c, std::size_t wave, std::size_t clusters,
-               double seconds) override;
-  void on_lane(liberty::core::Cycle c, std::size_t wave, unsigned lane,
-               double busy_seconds) override;
 
  private:
   [[nodiscard]] double now_us() const;
@@ -75,9 +66,6 @@ class ChromeTraceWriter : public liberty::core::KernelProbe {
   bool finished_ = false;
   std::uint64_t events_ = 0;
   std::uint64_t flow_ids_ = 0;
-  // Lanes whose thread_name metadata has been emitted (bitmask; lanes
-  // beyond 63 just go unnamed, which Perfetto renders as "tid N").
-  std::uint64_t named_lanes_ = 0;
 };
 
 }  // namespace liberty::obs

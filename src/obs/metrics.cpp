@@ -87,17 +87,6 @@ void MetricsRegistry::collect_profile(const CycleProfiler& prof,
     add_scalar(base + ".react_seconds", seconds[id]);
   }
 
-  if (prof.waves() > 0) {
-    add_counter("profile.waves", prof.waves());
-    add_counter("profile.wave_clusters", prof.wave_clusters());
-    add_scalar("profile.wave_seconds", prof.wave_seconds());
-    add_scalar("profile.lane_idle_seconds", prof.lane_idle_seconds());
-    for (std::size_t lane = 0; lane < prof.lanes().size(); ++lane) {
-      const std::string base = "profile.lane." + std::to_string(lane);
-      add_scalar(base + ".busy_seconds", prof.lanes()[lane].busy_seconds);
-      add_counter(base + ".waves", prof.lanes()[lane].waves);
-    }
-  }
 }
 
 void MetricsRegistry::write_json(std::ostream& os, const RunMeta& meta) const {
@@ -109,7 +98,6 @@ void MetricsRegistry::write_json(std::ostream& os, const RunMeta& meta) const {
   w.field("tool", meta.tool);
   w.field("spec", meta.spec);
   w.field("scheduler", meta.scheduler);
-  w.field("threads", meta.threads);
   w.field("seed", meta.seed);
   w.field("cycles", meta.cycles);
   w.field("git_rev", meta.git_rev);
@@ -173,7 +161,6 @@ void MetricsRegistry::write_csv(std::ostream& os, const RunMeta& meta) const {
   csv_row(os, "meta", "tool", "value", meta.tool);
   csv_row(os, "meta", "spec", "value", meta.spec);
   csv_row(os, "meta", "scheduler", "value", meta.scheduler);
-  csv_row(os, "meta", "threads", "value", std::to_string(meta.threads));
   csv_row(os, "meta", "seed", "value", std::to_string(meta.seed));
   csv_row(os, "meta", "cycles", "value", std::to_string(meta.cycles));
   csv_row(os, "meta", "git_rev", "value", meta.git_rev);

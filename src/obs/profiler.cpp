@@ -1,7 +1,5 @@
 #include "liberty/obs/profiler.hpp"
 
-#include <algorithm>
-
 namespace liberty::obs {
 
 void CycleProfiler::on_cycle_begin(liberty::core::Cycle c) {
@@ -19,24 +17,6 @@ void CycleProfiler::on_phase(liberty::core::SchedPhase phase,
   t.seconds += seconds;
   ++t.count;
   if (sink_ != nullptr) sink_->on_phase(phase, c, seconds);
-}
-
-void CycleProfiler::on_wave(liberty::core::Cycle c, std::size_t wave,
-                            std::size_t clusters, double seconds) {
-  ++waves_;
-  wave_clusters_ += clusters;
-  wave_seconds_ += seconds;
-  lane_wall_seconds_ += seconds;
-  if (sink_ != nullptr) sink_->on_wave(c, wave, clusters, seconds);
-}
-
-void CycleProfiler::on_lane(liberty::core::Cycle c, std::size_t wave,
-                            unsigned lane, double busy_seconds) {
-  if (lane >= lanes_.size()) lanes_.resize(lane + 1);
-  auto& t = lanes_[lane];
-  t.busy_seconds += busy_seconds;
-  ++t.waves;
-  if (sink_ != nullptr) sink_->on_lane(c, wave, lane, busy_seconds);
 }
 
 void CycleProfiler::on_module_batch(const std::uint64_t* reacts,
@@ -57,24 +37,11 @@ double CycleProfiler::total_seconds() const noexcept {
   return total;
 }
 
-double CycleProfiler::lane_idle_seconds() const noexcept {
-  double busy = 0.0;
-  for (const auto& t : lanes_) busy += t.busy_seconds;
-  const double wall =
-      lane_wall_seconds_ * static_cast<double>(lanes_.size());
-  return std::max(0.0, wall - busy);
-}
-
 void CycleProfiler::reset() {
   cycles_ = 0;
   phases_ = {};
   mod_reacts_.clear();
   mod_seconds_.clear();
-  waves_ = 0;
-  wave_clusters_ = 0;
-  wave_seconds_ = 0.0;
-  lane_wall_seconds_ = 0.0;
-  lanes_.clear();
 }
 
 }  // namespace liberty::obs

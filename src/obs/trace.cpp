@@ -10,7 +10,6 @@ namespace liberty::obs {
 namespace {
 constexpr int kKernelPid = 1;
 constexpr int kTransferPid = 2;
-constexpr std::uint64_t kLaneTidBase = 100;
 }  // namespace
 
 ChromeTraceWriter::ChromeTraceWriter(std::ostream& os)
@@ -77,43 +76,6 @@ void ChromeTraceWriter::on_phase(liberty::core::SchedPhase phase,
                 static_cast<int>(liberty::core::phase_name(phase).size()),
                 liberty::core::phase_name(phase).data(), ts, dur,
                 static_cast<unsigned long long>(c));
-  emit(buf);
-}
-
-void ChromeTraceWriter::on_wave(liberty::core::Cycle c, std::size_t wave,
-                                std::size_t clusters, double seconds) {
-  if (finished_) return;
-  const double dur = seconds * 1e6;
-  const double ts = now_us() - dur;
-  char buf[224];
-  std::snprintf(buf, sizeof buf,
-                "{\"ph\":\"X\",\"pid\":%d,\"tid\":0,\"name\":\"wave %zu\","
-                "\"cat\":\"wave\",\"ts\":%.3f,\"dur\":%.3f,"
-                "\"args\":{\"cycle\":%llu,\"clusters\":%zu}}",
-                kKernelPid, wave, ts, dur,
-                static_cast<unsigned long long>(c), clusters);
-  emit(buf);
-}
-
-void ChromeTraceWriter::on_lane(liberty::core::Cycle c, std::size_t wave,
-                                unsigned lane, double busy_seconds) {
-  if (finished_) return;
-  const std::uint64_t tid = kLaneTidBase + lane;
-  if (lane < 64 && (named_lanes_ & (1ULL << lane)) == 0) {
-    named_lanes_ |= 1ULL << lane;
-    char name[32];
-    std::snprintf(name, sizeof name, "lane %u", lane);
-    emit_thread_name(kKernelPid, tid, name);
-  }
-  const double dur = busy_seconds * 1e6;
-  const double ts = now_us() - dur;
-  char buf[224];
-  std::snprintf(buf, sizeof buf,
-                "{\"ph\":\"X\",\"pid\":%d,\"tid\":%llu,\"name\":\"busy\","
-                "\"cat\":\"lane\",\"ts\":%.3f,\"dur\":%.3f,"
-                "\"args\":{\"cycle\":%llu,\"wave\":%zu}}",
-                kKernelPid, static_cast<unsigned long long>(tid), ts, dur,
-                static_cast<unsigned long long>(c), wave);
   emit(buf);
 }
 

@@ -5,6 +5,7 @@
 
 #include "liberty/core/connection.hpp"
 #include "liberty/core/netlist.hpp"
+#include "liberty/core/simulator.hpp"
 #include "liberty/obs/json.hpp"
 #include "liberty/support/error.hpp"
 
@@ -42,6 +43,15 @@ FaultClass fault_class_from_name(std::string_view name) {
                        "' (expected corrupt_data|drop_enable|stuck_channel|"
                        "drop_ack|spurious_ack|handler_throw|torn_checkpoint|"
                        "checkpoint_enospc)");
+}
+
+void check_scheduler_restriction(std::string_view name) {
+  if (name.empty()) return;
+  for (const core::SchedulerKind kind : core::kSchedulerKinds) {
+    if (core::scheduler_kind_name(kind) == name) return;
+  }
+  throw liberty::Error("fault plan: unknown scheduler '" + std::string(name) +
+                       "' (expected dynamic|static|compiled|native)");
 }
 
 std::string FaultSpec::describe() const {
@@ -143,6 +153,7 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
     if (const obs::JsonValue* sched = jf.get("scheduler");
         sched != nullptr && sched->is_string()) {
       f.scheduler = sched->string;
+      check_scheduler_restriction(f.scheduler);
     }
     if (const obs::JsonValue* masked = jf.get("masked");
         masked != nullptr && masked->kind == obs::JsonValue::Kind::Bool) {

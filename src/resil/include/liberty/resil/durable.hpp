@@ -22,7 +22,7 @@
 //   bit-identity       the file embeds the per-cycle trace-hash prefix, so
 //                      a resumed run's final trace digest equals the
 //                      uninterrupted run's (the fork/SIGKILL harness in
-//                      test_durable proves it for all five schedulers at
+//                      test_durable proves it for all four schedulers at
 //                      -O0/-O2, including the rack scenario).
 //
 // The torn-write and ENOSPC *injection* paths live in the FaultInjector

@@ -76,6 +76,11 @@ inline constexpr std::size_t kFaultClassCount = 8;
   return cls != FaultClass::HandlerThrow && !is_env_fault(cls);
 }
 
+/// Throws liberty::Error unless `name` is empty or the kind_name() of a
+/// scheduler (dynamic, static, compiled, native): a spec restricted to any
+/// other name would silently match no scheduler and inject nothing.
+void check_scheduler_restriction(std::string_view name);
+
 struct FaultSpec {
   FaultClass cls = FaultClass::DropAck;
   core::ConnId connection = 0;  // channel faults: target connection id

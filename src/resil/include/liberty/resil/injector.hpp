@@ -7,22 +7,14 @@
 // Since the kernel guarantees each channel resolves to one value per cycle
 // regardless of scheduler, and the mapping rewrites that resolution
 // input-independently, the faulty trajectory is bit-identical under
-// dynamic, static and parallel scheduling at every -O level (test_resil
+// every scheduler at every -O level (test_resil
 // proves the full matrix).  The -O2 quiescence gate may cache and replay a
 // faulted channel's post-mapping value; replay re-drives it through the
 // seam, maps it again to the same per-cycle substitute, and stays
 // idempotent for exactly this reason.
-//
-// Thread-safety: filters run on parallel worker threads.  All lookup tables
-// are immutable while a simulation runs; the per-spec first-hit bookkeeping
-// uses atomics.  cycle_ is written in begin_cycle (main thread, before any
-// wave dispatch) and read by workers — ordered by the scheduler's pool
-// mutex handoff.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -99,9 +91,9 @@ class FaultInjector final : public core::FaultHook {
   std::vector<std::int32_t> bwd_spec_;
   std::vector<std::int32_t> handler_specs_;  // active HandlerThrow indices
   core::Cycle cycle_ = 0;
-  // Per-spec first-hit tracking (workers write concurrently).
-  std::unique_ptr<std::atomic<std::uint64_t>[]> applications_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> first_cycle_;
+  // Per-spec application count and first-hit cycle.
+  std::vector<std::uint64_t> applications_;
+  std::vector<std::uint64_t> first_cycle_;
 };
 
 }  // namespace liberty::resil

@@ -50,7 +50,6 @@ enum class RecoveryPolicy : std::uint8_t { Abort, RollbackRetry, Quarantine };
 
 struct SupervisorConfig {
   core::SchedulerKind scheduler = core::SchedulerKind::Static;
-  unsigned threads = 0;            // parallel scheduler only
   core::Cycle checkpoint_every = 64;  // 0 = only the initial checkpoint
   RecoveryPolicy policy = RecoveryPolicy::Abort;
   int max_recoveries = 4;          // rollbacks + quarantines before giving up

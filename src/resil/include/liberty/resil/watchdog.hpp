@@ -96,14 +96,6 @@ class ChainedProbe : public core::KernelProbe {
   void on_phase(core::SchedPhase p, core::Cycle c, double s) override {
     if (next_ != nullptr) next_->on_phase(p, c, s);
   }
-  void on_wave(core::Cycle c, std::size_t w, std::size_t n,
-               double s) override {
-    if (next_ != nullptr) next_->on_wave(c, w, n, s);
-  }
-  void on_lane(core::Cycle c, std::size_t w, unsigned lane,
-               double busy) override {
-    if (next_ != nullptr) next_->on_lane(c, w, lane, busy);
-  }
   void on_module_batch(const std::uint64_t* reacts, const double* seconds,
                        std::size_t n) override {
     if (next_ != nullptr) next_->on_module_batch(reacts, seconds, n);

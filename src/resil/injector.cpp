@@ -1,5 +1,6 @@
 #include "liberty/resil/injector.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "liberty/core/connection.hpp"
@@ -15,20 +16,16 @@ constexpr std::uint64_t kNeverApplied =
     std::numeric_limits<std::uint64_t>::max();
 }
 
-FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
-  const std::size_t n = plan_.faults.size();
-  applications_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-  first_cycle_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    applications_[i].store(0, std::memory_order_relaxed);
-    first_cycle_[i].store(kNeverApplied, std::memory_order_relaxed);
-  }
-}
+FaultInjector::FaultInjector(FaultPlan plan)
+    : plan_(std::move(plan)),
+      applications_(plan_.faults.size(), 0),
+      first_cycle_(plan_.faults.size(), kNeverApplied) {}
 
 void FaultInjector::install(core::Simulator& sim) {
   sched_kind_ = std::string(sim.scheduler().kind_name());
   conn_count_ = sim.netlist().connection_count();
   for (const FaultSpec& f : plan_.faults) {
+    check_scheduler_restriction(f.scheduler);
     if (is_channel_fault(f.cls) && f.connection >= conn_count_) {
       throw liberty::Error("fault plan: " + f.describe() +
                            " targets a connection outside this netlist (" +
@@ -81,13 +78,9 @@ void FaultInjector::note_applied(std::int32_t spec_index) {
 
 void FaultInjector::note_applied_at(std::int32_t spec_index,
                                     core::Cycle cycle) {
-  applications_[spec_index].fetch_add(1, std::memory_order_relaxed);
+  ++applications_[spec_index];
   auto& first = first_cycle_[spec_index];
-  std::uint64_t prev = first.load(std::memory_order_relaxed);
-  const auto cyc = static_cast<std::uint64_t>(cycle);
-  while (cyc < prev &&
-         !first.compare_exchange_weak(prev, cyc, std::memory_order_relaxed)) {
-  }
+  first = std::min(first, static_cast<std::uint64_t>(cycle));
 }
 
 bool FaultInjector::env_fault_fires(FaultClass cls, core::Cycle cycle) {
@@ -219,15 +212,14 @@ int FaultInjector::mask_connection(core::ConnId id) {
 std::vector<InjectionSite> FaultInjector::sites() const {
   std::vector<InjectionSite> out;
   for (std::size_t i = 0; i < plan_.faults.size(); ++i) {
-    const std::uint64_t apps = applications_[i].load(std::memory_order_relaxed);
+    const std::uint64_t apps = applications_[i];
     if (apps == 0) continue;
     const FaultSpec& f = plan_.faults[i];
     InjectionSite site;
     site.cls = f.cls;
     site.connection = f.connection;
     site.module = f.module;
-    site.first_cycle = static_cast<core::Cycle>(
-        first_cycle_[i].load(std::memory_order_relaxed));
+    site.first_cycle = static_cast<core::Cycle>(first_cycle_[i]);
     site.applications = apps;
     out.push_back(std::move(site));
   }

@@ -44,8 +44,7 @@ Supervisor::Supervisor(core::Netlist& netlist, SupervisorConfig cfg,
 Supervisor::~Supervisor() = default;
 
 void Supervisor::build_simulator() {
-  sim_ = std::make_unique<core::Simulator>(netlist_, cfg_.scheduler,
-                                           cfg_.threads);
+  sim_ = std::make_unique<core::Simulator>(netlist_, cfg_.scheduler);
   if (cfg_.iteration_cap != 0) {
     sim_->scheduler().set_iteration_cap(cfg_.iteration_cap);
   }

@@ -1,6 +1,8 @@
-// Small string helpers used by the LSS front end and reporting code.
+// Small string helpers used by the LSS front end, the command-line tools
+// and reporting code.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,5 +22,10 @@ namespace liberty {
 
 /// True when `s` is a valid identifier: [A-Za-z_][A-Za-z0-9_]*.
 [[nodiscard]] bool is_identifier(std::string_view s);
+
+/// Strict unsigned decimal, the one parser for numeric command-line flags:
+/// all of `s` must be digits (no sign, whitespace or suffix) and the value
+/// must fit in 64 bits.  On failure returns false and leaves `out` as is.
+[[nodiscard]] bool parse_u64(std::string_view s, std::uint64_t& out);
 
 }  // namespace liberty

@@ -1,6 +1,7 @@
 #include "liberty/support/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 
 namespace liberty {
 
@@ -49,6 +50,16 @@ bool is_identifier(std::string_view s) {
     const auto u = static_cast<unsigned char>(c);
     if (!(std::isalnum(u) || u == '_')) return false;
   }
+  return true;
+}
+
+bool parse_u64(std::string_view s, std::uint64_t& out) {
+  // from_chars on an unsigned type accepts neither sign nor whitespace.
+  std::uint64_t v = 0;
+  const char* const end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) return false;
+  out = v;
   return true;
 }
 

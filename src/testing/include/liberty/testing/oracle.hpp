@@ -1,8 +1,8 @@
 // Differential oracle: prove N schedulers bit-identical on one netlist.
 //
 // The reference (dynamic -O0) scheduler defines the semantics; every
-// candidate (by default static, parallel x {1, 2, 8} threads, compiled
-// -O0/-O2, and native -O0/-O2 when built in) must match it exactly.  The
+// candidate (by default static, compiled -O0/-O2, and native -O0/-O2 when
+// built in) must match it exactly.  The
 // oracle runs in two phases:
 //
 //   1. Coarse, streaming: each simulator runs the full cycle budget alone.
@@ -39,7 +39,10 @@ namespace liberty::testing {
 
 struct Candidate {
   liberty::core::SchedulerKind kind = liberty::core::SchedulerKind::Static;
-  unsigned threads = 0;  // parallel only; 0 = hardware concurrency
+  /// Must be 0: the kernel is single-threaded and run_oracle rejects any
+  /// other value.  Kept so existing `Candidate{kind, 0, level}`
+  /// initializers still compile.
+  unsigned threads = 0;
   /// Optimizer level applied to the candidate's netlist (opt::optimize)
   /// before its simulator is built.  The dynamic -O0 reference defines the
   /// semantics, so a nonzero level here proves the optimizer preserves
@@ -51,9 +54,8 @@ struct Candidate {
 
 struct OracleConfig {
   /// Candidates checked against the dynamic reference.  Empty selects the
-  /// default battery: static, parallel x {1, 2, 8} threads, compiled -O0
-  /// and -O2, plus native -O0 and -O2 when LIBERTY_NATIVE_CODEGEN is built
-  /// in.
+  /// default battery: static, compiled -O0 and -O2, plus native -O0 and
+  /// -O2 when LIBERTY_NATIVE_CODEGEN is built in.
   std::vector<Candidate> candidates;
   /// Window length in cycles: the coarse phase compares a trace hash and a
   /// state digest at every boundary (0 selects 16).

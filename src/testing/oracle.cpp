@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "liberty/core/state.hpp"
@@ -45,7 +46,7 @@ struct Rig {
           netlist, liberty::opt::OptOptions::for_level(who.opt_level));
     }
     if (plan != nullptr) injector = std::make_unique<FaultInjector>(*plan);
-    sim = std::make_unique<Simulator>(netlist, who.kind, who.threads);
+    sim = std::make_unique<Simulator>(netlist, who.kind);
     if (injector != nullptr) injector->install(*sim);
   }
 
@@ -111,17 +112,6 @@ KernelSnapshot snapshot_at(const NetSpec& spec,
   Rig replay(spec, registry, who, plan);
   while (replay.sim->now() < at) replay.sim->step();
   return replay.sim->snapshot();
-}
-
-std::string kind_name(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::Dynamic: return "dynamic";
-    case SchedulerKind::Static: return "static";
-    case SchedulerKind::Parallel: return "parallel";
-    case SchedulerKind::Compiled: return "compiled";
-    case SchedulerKind::Native: return "native";
-  }
-  return "?";
 }
 
 /// Phase 2: bring fresh reference and candidate simulators to the last
@@ -216,10 +206,7 @@ Divergence bisect_window(const NetSpec& spec,
 }  // namespace
 
 std::string Candidate::describe() const {
-  std::string s = kind_name(kind);
-  if (kind == liberty::core::SchedulerKind::Parallel) {
-    s += "(" + std::to_string(threads) + "t)";
-  }
+  std::string s(liberty::core::scheduler_kind_name(kind));
   if (opt_level > 0) s += "-O" + std::to_string(opt_level);
   return s;
 }
@@ -244,9 +231,6 @@ OracleResult run_oracle(const NetSpec& spec,
   std::vector<Candidate> candidates = config.candidates;
   if (candidates.empty()) {
     candidates = {Candidate{SchedulerKind::Static, 0},
-                  Candidate{SchedulerKind::Parallel, 1},
-                  Candidate{SchedulerKind::Parallel, 2},
-                  Candidate{SchedulerKind::Parallel, 8},
                   Candidate{SchedulerKind::Compiled, 0},
                   Candidate{SchedulerKind::Compiled, 0, /*opt_level=*/2}};
 #if defined(LIBERTY_NATIVE_CODEGEN)
@@ -256,6 +240,14 @@ OracleResult run_oracle(const NetSpec& spec,
     candidates.push_back(Candidate{SchedulerKind::Native, 0});
     candidates.push_back(Candidate{SchedulerKind::Native, 0, /*opt_level=*/2});
 #endif
+  }
+  for (const Candidate& cand : candidates) {
+    if (cand.threads != 0) {
+      throw std::invalid_argument(
+          "oracle candidate " + cand.describe() + " asks for " +
+          std::to_string(cand.threads) +
+          " threads; the kernel is single-threaded, threads must be 0");
+    }
   }
 
   const Cycle every =

@@ -119,11 +119,9 @@ void build_netlist(Netlist& nl, const NetSpec& spec, int opt_level) {
   }
 }
 
-SupervisorConfig sup_cfg(SchedulerKind kind, unsigned threads,
-                         Cycle checkpoint_every) {
+SupervisorConfig sup_cfg(SchedulerKind kind, Cycle checkpoint_every) {
   SupervisorConfig scfg;
   scfg.scheduler = kind;
-  scfg.threads = threads;
   scfg.checkpoint_every = checkpoint_every;
   scfg.policy = RecoveryPolicy::Abort;
   return scfg;
@@ -219,7 +217,7 @@ TEST(Checkpoint, UnregisteredPayloadRefusesToEncode) {
 CheckpointImage image_after(Cycle cycles) {
   Netlist nl;
   build_netlist(nl, durable_spec(), 0);
-  Simulator sim(nl, SchedulerKind::Static, 0);
+  Simulator sim(nl, SchedulerKind::Static);
   liberty::resil::TraceRecorder rec(nl);
   sim.set_probe(&rec);
   sim.run(cycles);
@@ -297,7 +295,7 @@ TEST(Durable, WritesAtomicallyAndPrunesToKeepLast) {
   DurableConfig dcfg;
   dcfg.dir = dir.path;
   dcfg.keep_last = 2;
-  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 0, 10), dcfg);
+  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 10), dcfg);
   const RecoveryReport rep = sup.run(100);
   ASSERT_TRUE(rep.completed) << rep.summary();
   EXPECT_GE(sup.stats().checkpoints_written, 10u);
@@ -319,7 +317,6 @@ TEST(Durable, WritesAtomicallyAndPrunesToKeepLast) {
 /// Run the workload under a DurableSupervisor; returns (trace, state).
 std::pair<std::uint64_t, std::uint64_t> durable_run(const std::string& dir,
                                                     SchedulerKind kind,
-                                                    unsigned threads,
                                                     int opt_level, Cycle cycles,
                                                     bool resume) {
   Netlist nl;
@@ -328,7 +325,7 @@ std::pair<std::uint64_t, std::uint64_t> durable_run(const std::string& dir,
   dcfg.dir = dir;
   dcfg.keep_last = 8;
   dcfg.resume = resume;
-  DurableSupervisor sup(nl, sup_cfg(kind, threads, 20), dcfg);
+  DurableSupervisor sup(nl, sup_cfg(kind, 20), dcfg);
   const RecoveryReport rep = sup.run(cycles);
   EXPECT_TRUE(rep.completed) << rep.summary();
   return {rep.trace_digest(), rep.state_digest};
@@ -336,26 +333,26 @@ std::pair<std::uint64_t, std::uint64_t> durable_run(const std::string& dir,
 
 TEST(Durable, ResumeReproducesTheUninterruptedDigest) {
   TempDir full_dir;
-  const auto full = durable_run(full_dir.path, SchedulerKind::Static, 0, 0,
-                                240, false);
+  const auto full =
+      durable_run(full_dir.path, SchedulerKind::Static, 0, 240, false);
 
   TempDir dir;
   // Phase 1: run only part way (last spill lands at cycle 100).
-  durable_run(dir.path, SchedulerKind::Static, 0, 0, 117, false);
+  durable_run(dir.path, SchedulerKind::Static, 0, 117, false);
   // Phase 2: a fresh process image resumes and finishes the run.
   const auto resumed =
-      durable_run(dir.path, SchedulerKind::Static, 0, 0, 240, true);
+      durable_run(dir.path, SchedulerKind::Static, 0, 240, true);
   EXPECT_EQ(resumed.first, full.first) << "trace digest diverged";
   EXPECT_EQ(resumed.second, full.second) << "state digest diverged";
 }
 
 TEST(Durable, ResumeSkipsCorruptNewestWithDiagnostic) {
   TempDir full_dir;
-  const auto full = durable_run(full_dir.path, SchedulerKind::Static, 0, 2,
+  const auto full = durable_run(full_dir.path, SchedulerKind::Static, 2,
                                 200, false);
 
   TempDir dir;
-  durable_run(dir.path, SchedulerKind::Static, 0, 2, 130, false);
+  durable_run(dir.path, SchedulerKind::Static, 2, 130, false);
   // Corrupt the newest file (cycle 120) and truncate the one before it.
   {
     std::fstream f(dir.path + "/ckpt-000000000120.lck",
@@ -372,7 +369,7 @@ TEST(Durable, ResumeSkipsCorruptNewestWithDiagnostic) {
   dcfg.dir = dir.path;
   dcfg.keep_last = 8;
   dcfg.resume = true;
-  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 0, 20), dcfg);
+  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 20), dcfg);
   const RecoveryReport rep = sup.run(200);
   ASSERT_TRUE(rep.completed) << rep.summary();
   EXPECT_EQ(sup.stats().corrupt_skipped, 2u);
@@ -393,7 +390,7 @@ TEST(Durable, ResumeFromEmptyDirectoryStartsFresh) {
   DurableConfig dcfg;
   dcfg.dir = dir.path;
   dcfg.resume = true;
-  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 0, 50), dcfg);
+  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 50), dcfg);
   const RecoveryReport rep = sup.run(60);
   ASSERT_TRUE(rep.completed) << rep.summary();
   EXPECT_EQ(sup.resumed_from(), 0u);
@@ -419,7 +416,7 @@ TEST(Durable, DescribeCandidatesIsTheSharedMessagePath) {
   build_netlist(nl, durable_spec(), 0);
   DurableConfig dcfg;
   dcfg.dir = dir.path;
-  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 0, 30), dcfg);
+  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 30), dcfg);
   ASSERT_TRUE(sup.run(60).completed);
   fs::resize_file(dir.path + "/ckpt-000000000060.lck", 21);
   const auto list =
@@ -438,7 +435,7 @@ TEST(Durable, TopologyMismatchIsRejectedNotLoaded) {
   build_netlist(nl, durable_spec(), 0);
   DurableConfig dcfg;
   dcfg.dir = dir.path;
-  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 0, 30), dcfg);
+  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 30), dcfg);
   ASSERT_TRUE(sup.run(60).completed);
 
   NetSpec other = durable_spec();
@@ -459,7 +456,7 @@ TEST(Durable, TopologyMismatchIsRejectedNotLoaded) {
 
 TEST(Durable, InjectedTornWritesAreSkippedOnResume) {
   TempDir full_dir;
-  const auto full = durable_run(full_dir.path, SchedulerKind::Static, 0, 0,
+  const auto full = durable_run(full_dir.path, SchedulerKind::Static, 0,
                                 200, false);
 
   TempDir dir;
@@ -476,7 +473,7 @@ TEST(Durable, InjectedTornWritesAreSkippedOnResume) {
     DurableConfig dcfg;
     dcfg.dir = dir.path;
     dcfg.keep_last = 16;
-    DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 0, 20), dcfg,
+    DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 20), dcfg,
                           &inj);
     ASSERT_TRUE(sup.run(100).completed);
     // Every spill from the onset is torn, deterministically.
@@ -489,7 +486,7 @@ TEST(Durable, InjectedTornWritesAreSkippedOnResume) {
   dcfg.dir = dir.path;
   dcfg.keep_last = 16;
   dcfg.resume = true;
-  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 0, 20), dcfg);
+  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 20), dcfg);
   const RecoveryReport rep = sup.run(200);
   ASSERT_TRUE(rep.completed) << rep.summary();
   EXPECT_GE(sup.stats().corrupt_skipped, 3u);
@@ -511,7 +508,7 @@ TEST(Durable, InjectedEnospcDegradesToUndurableNotAnError) {
   FaultInjector inj(plan);
   DurableConfig dcfg;
   dcfg.dir = dir.path;
-  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 0, 20), dcfg,
+  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 20), dcfg,
                         &inj);
   const RecoveryReport rep = sup.run(100);
   ASSERT_TRUE(rep.completed) << rep.summary();  // the run itself succeeds
@@ -545,8 +542,8 @@ TEST(Durable, EnvFaultClassNamesRoundtripThroughJson) {
 // The crash harness: fork, SIGKILL mid-run, resume, compare digests — for
 // every scheduler at -O0 and -O2.
 
-void kill_midrun(const std::string& dir, SchedulerKind kind, unsigned threads,
-                 int opt_level, Cycle kill_at, Cycle cycles) {
+void kill_midrun(const std::string& dir, SchedulerKind kind, int opt_level,
+                 Cycle kill_at, Cycle cycles) {
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
@@ -558,7 +555,7 @@ void kill_midrun(const std::string& dir, SchedulerKind kind, unsigned threads,
     dcfg.dir = dir;
     dcfg.keep_last = 8;
     dcfg.kill_at = kill_at;
-    DurableSupervisor sup(nl, sup_cfg(kind, threads, 20), dcfg);
+    DurableSupervisor sup(nl, sup_cfg(kind, 20), dcfg);
     (void)sup.run(cycles);
     ::_exit(42);  // reached only if kill_at never fired
   }
@@ -569,34 +566,28 @@ void kill_midrun(const std::string& dir, SchedulerKind kind, unsigned threads,
 }
 
 TEST(DurableCrash, KilledRunResumesBitIdenticalAcrossSchedulers) {
-  struct Case {
-    SchedulerKind kind;
-    unsigned threads;
-  };
-  std::vector<Case> cases = {{SchedulerKind::Dynamic, 0},
-                             {SchedulerKind::Static, 0},
-                             {SchedulerKind::Parallel, 2},
-                             {SchedulerKind::Compiled, 0}};
+  std::vector<SchedulerKind> kinds = {
+      SchedulerKind::Dynamic, SchedulerKind::Static, SchedulerKind::Compiled};
   liberty::gen::ensure_registered();
   if (liberty::gen::native_available()) {
-    cases.push_back({SchedulerKind::Native, 0});
+    kinds.push_back(SchedulerKind::Native);
   }
   constexpr Cycle kCycles = 160;
   constexpr Cycle kKillAt = 90;
   for (const int opt_level : {0, 2}) {
     TempDir ref_dir;
-    const auto full = durable_run(ref_dir.path, SchedulerKind::Static, 0,
+    const auto full = durable_run(ref_dir.path, SchedulerKind::Static,
                                   opt_level, kCycles, false);
-    for (const Case& c : cases) {
+    for (const SchedulerKind kind : kinds) {
       TempDir dir;
-      kill_midrun(dir.path, c.kind, c.threads, opt_level, kKillAt, kCycles);
+      kill_midrun(dir.path, kind, opt_level, kKillAt, kCycles);
       const auto resumed =
-          durable_run(dir.path, c.kind, c.threads, opt_level, kCycles, true);
+          durable_run(dir.path, kind, opt_level, kCycles, true);
       EXPECT_EQ(resumed.first, full.first)
-          << "trace digest, scheduler " << static_cast<int>(c.kind) << " -O"
+          << "trace digest, scheduler " << static_cast<int>(kind) << " -O"
           << opt_level;
       EXPECT_EQ(resumed.second, full.second)
-          << "state digest, scheduler " << static_cast<int>(c.kind) << " -O"
+          << "state digest, scheduler " << static_cast<int>(kind) << " -O"
           << opt_level;
     }
   }
@@ -645,7 +636,7 @@ TEST(DurableGolden, CommittedCheckpointLoadsForever) {
   ASSERT_EQ(img.snapshot.cycle, kHalf);
 
   // ...and a run resumed from it is bit-identical to an uninterrupted one.
-  Simulator sim(nl, SchedulerKind::Static, 0);
+  Simulator sim(nl, SchedulerKind::Static);
   liberty::resil::TraceRecorder rec(nl);
   sim.set_probe(&rec);
   sim.restore(img.snapshot);
@@ -654,7 +645,7 @@ TEST(DurableGolden, CommittedCheckpointLoadsForever) {
 
   Netlist ref;
   build_netlist(ref, durable_spec(), 0);
-  Simulator ref_sim(ref, SchedulerKind::Static, 0);
+  Simulator ref_sim(ref, SchedulerKind::Static);
   liberty::resil::TraceRecorder ref_rec(ref);
   ref_sim.set_probe(&ref_rec);
   ref_sim.run(kFull);
@@ -672,7 +663,7 @@ TEST(DurableMetrics, StableCounterNames) {
   build_netlist(nl, durable_spec(), 0);
   DurableConfig dcfg;
   dcfg.dir = dir.path;
-  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 0, 20), dcfg);
+  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 20), dcfg);
   ASSERT_TRUE(sup.run(60).completed);
 
   liberty::obs::MetricsRegistry m;

@@ -162,18 +162,22 @@ TEST(Oracle, BisectPinsFaultsAtWindowEdges) {
   }
 }
 
-TEST(Oracle, InjectedParallelFaultBlamesEveryThreadCount) {
-  const FaultPlan plan = scheduler_fault("parallel", 30, 1);
+TEST(Oracle, InjectedCompiledFaultBlamesEveryOptLevel) {
+  const FaultPlan plan = scheduler_fault("compiled", 30, 1);
   OracleConfig cfg;
   cfg.fault_plan = &plan;
   const OracleResult r = run_oracle(pipeline_spec(), fuzz_registry(), cfg);
   ASSERT_FALSE(r.ok);
-  // Default battery: static (healthy) + parallel x {1, 2, 8} (all faulty).
-  ASSERT_EQ(r.divergences.size(), 3u) << r.report();
+  // Default battery: static (healthy), compiled -O0 and -O2 (both faulty),
+  // and native -O0/-O2 when built in (healthy: native is its own kind).
+  ASSERT_EQ(r.divergences.size(), 2u) << r.report();
+  int opt_levels_seen = 0;
   for (const liberty::testing::Divergence& d : r.divergences) {
-    EXPECT_EQ(d.candidate.kind, SchedulerKind::Parallel);
+    EXPECT_EQ(d.candidate.kind, SchedulerKind::Compiled);
     EXPECT_EQ(d.first_divergent_cycle, 30u) << d.detail;
+    opt_levels_seen |= 1 << d.candidate.opt_level;
   }
+  EXPECT_EQ(opt_levels_seen, (1 << 0) | (1 << 2)) << r.report();
 }
 
 TEST(Oracle, FaultOnFuzzedNetlistIsCaught) {

@@ -1,8 +1,7 @@
 // The long differential sweep: 500 fuzzed netlists, each run under the
-// dynamic reference plus static, parallel(1,2,8) and compiled candidates —
-// and then again with dynamic/static/parallel(2)/compiled at optimizer
-// level 2 — requiring bit-identical transfers, state digests, and
-// statistics.  Carries the
+// dynamic reference plus static and compiled candidates — and then again
+// with dynamic/static/compiled at optimizer level 2 — requiring
+// bit-identical transfers, state digests, and statistics.  Carries the
 // `fuzz` CTest label so it can be targeted (or excluded) with `ctest -L
 // fuzz` / `ctest -LE fuzz`.
 #include <gtest/gtest.h>
@@ -40,13 +39,9 @@ TEST(FuzzStress, FiveHundredSeedsZeroDivergence) {
   liberty::testing::OracleConfig oracle;
   oracle.candidates = {
       Candidate{SchedulerKind::Static, 0},
-      Candidate{SchedulerKind::Parallel, 1},
-      Candidate{SchedulerKind::Parallel, 2},
-      Candidate{SchedulerKind::Parallel, 8},
       Candidate{SchedulerKind::Compiled, 0},
       Candidate{SchedulerKind::Dynamic, 0, /*opt_level=*/2},
       Candidate{SchedulerKind::Static, 0, /*opt_level=*/2},
-      Candidate{SchedulerKind::Parallel, 2, /*opt_level=*/2},
       Candidate{SchedulerKind::Compiled, 0, /*opt_level=*/2},
   };
   for (std::uint64_t seed = 1; seed <= 500; ++seed) {
@@ -71,7 +66,6 @@ TEST(FuzzStress, RackFamilyFiveHundredSeedsZeroDivergence) {
   oracle.snapshot_every = 256;
   oracle.candidates = {
       Candidate{SchedulerKind::Static, 0},
-      Candidate{SchedulerKind::Parallel, 2},
       Candidate{SchedulerKind::Compiled, 0},
       Candidate{SchedulerKind::Static, 0, /*opt_level=*/2},
       Candidate{SchedulerKind::Compiled, 0, /*opt_level=*/2},
@@ -101,14 +95,12 @@ TEST(FuzzStress, RackKillResumeHundredSeededCyclesBitIdentical) {
   cfg.cycles = 400;
   const liberty::testing::NetSpec spec = liberty::scenario::rack_netspec(cfg);
 
-  const auto run_durable = [&](SchedulerKind kind, unsigned threads,
-                               const std::string& dir, bool resume,
-                               liberty::core::Cycle kill_at) {
+  const auto run_durable = [&](SchedulerKind kind, const std::string& dir,
+                               bool resume, liberty::core::Cycle kill_at) {
     liberty::core::Netlist nl;
     spec.build(nl, registry);
     liberty::resil::SupervisorConfig scfg;
     scfg.scheduler = kind;
-    scfg.threads = threads;
     scfg.checkpoint_every = 16;
     scfg.policy = liberty::resil::RecoveryPolicy::Abort;
     liberty::resil::DurableConfig dcfg;
@@ -122,32 +114,27 @@ TEST(FuzzStress, RackKillResumeHundredSeededCyclesBitIdentical) {
     return std::make_pair(rep.trace_digest(), rep.state_digest);
   };
 
-  const struct {
-    SchedulerKind kind;
-    unsigned threads;
-  } kinds[] = {{SchedulerKind::Dynamic, 0},
-               {SchedulerKind::Static, 0},
-               {SchedulerKind::Parallel, 2},
-               {SchedulerKind::Compiled, 0}};
+  constexpr SchedulerKind kinds[] = {
+      SchedulerKind::Dynamic, SchedulerKind::Static, SchedulerKind::Compiled};
+  constexpr std::size_t kKinds = std::size(kinds);
 
   // One uninterrupted reference digest per scheduler kind.
-  std::pair<std::uint64_t, std::uint64_t> full[4];
-  for (std::size_t k = 0; k < 4; ++k) {
+  std::pair<std::uint64_t, std::uint64_t> full[kKinds];
+  for (std::size_t k = 0; k < kKinds; ++k) {
     char tmpl[] = "/tmp/liberty-rack-ref-XXXXXX";
     ASSERT_NE(::mkdtemp(tmpl), nullptr);
-    full[k] = run_durable(kinds[k].kind, kinds[k].threads, tmpl, false, 0);
+    full[k] = run_durable(kinds[k], tmpl, false, 0);
     std::error_code ec;
     std::filesystem::remove_all(tmpl, ec);
+    // Schedulers agree before we start killing.
+    ASSERT_EQ(full[k], full[0]) << "scheduler " << static_cast<int>(kinds[k]);
   }
-  ASSERT_EQ(full[0], full[1]);  // schedulers agree before we start killing
-  ASSERT_EQ(full[0], full[2]);
-  ASSERT_EQ(full[0], full[3]);
 
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     // Seeded kill cycle in [10, 390): past the first spill, before the end.
     const liberty::core::Cycle kill_at =
         10 + (seed * 2654435761ULL) % (cfg.cycles - 20);
-    const auto& kc = kinds[seed % 4];
+    const SchedulerKind kind = kinds[seed % kKinds];
     char tmpl[] = "/tmp/liberty-rack-kill-XXXXXX";
     ASSERT_NE(::mkdtemp(tmpl), nullptr);
     const std::string dir = tmpl;
@@ -159,8 +146,7 @@ TEST(FuzzStress, RackKillResumeHundredSeededCyclesBitIdentical) {
       liberty::core::Netlist nl;
       spec.build(nl, registry);
       liberty::resil::SupervisorConfig scfg;
-      scfg.scheduler = kc.kind;
-      scfg.threads = kc.threads;
+      scfg.scheduler = kind;
       scfg.checkpoint_every = 16;
       liberty::resil::DurableConfig dcfg;
       dcfg.dir = dir;
@@ -176,8 +162,8 @@ TEST(FuzzStress, RackKillResumeHundredSeededCyclesBitIdentical) {
         << "seed " << seed << ": child survived its kill cycle " << kill_at
         << " (status " << status << ")";
 
-    const auto resumed = run_durable(kc.kind, kc.threads, dir, true, 0);
-    EXPECT_EQ(resumed, full[seed % 4])
+    const auto resumed = run_durable(kind, dir, true, 0);
+    EXPECT_EQ(resumed, full[seed % kKinds])
         << "seed " << seed << " killed at " << kill_at << " diverged";
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);

@@ -199,6 +199,27 @@ TEST(KernelStructure, DoubleEndpointBindRejected) {
                liberty::ElaborationError);
 }
 
+// Front ends parse --scheduler through one function; names no scheduler
+// answers to (including the retired "par"/"parallel") are rejected.
+TEST(KernelStructure, SchedulerKindParsing) {
+  using liberty::core::scheduler_kind_from_name;
+  using liberty::core::scheduler_kind_name;
+  EXPECT_EQ(scheduler_kind_from_name("dyn"), SchedulerKind::Dynamic);
+  EXPECT_EQ(scheduler_kind_from_name("dynamic"), SchedulerKind::Dynamic);
+  EXPECT_EQ(scheduler_kind_from_name("static"), SchedulerKind::Static);
+  EXPECT_EQ(scheduler_kind_from_name("comp"), SchedulerKind::Compiled);
+  EXPECT_EQ(scheduler_kind_from_name("compiled"), SchedulerKind::Compiled);
+  EXPECT_EQ(scheduler_kind_from_name("native"), SchedulerKind::Native);
+  for (const SchedulerKind kind : liberty::core::kSchedulerKinds) {
+    EXPECT_EQ(scheduler_kind_from_name(scheduler_kind_name(kind)), kind);
+  }
+  for (const char* bad : {"par", "parallel", "greedy"}) {
+    EXPECT_THROW((void)scheduler_kind_from_name(bad),
+                 liberty::ElaborationError)
+        << bad;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Scheduler equivalence on a less trivial mesh of primitives
 // ---------------------------------------------------------------------------

@@ -2,14 +2,22 @@
 // actionable diagnostic — never a crash, never a silently wrong netlist.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
 #include <string>
 
+#include "liberty/ccl/ccl.hpp"
 #include "liberty/core/lss/elaborator.hpp"
+#include "liberty/core/lss/parser.hpp"
 #include "liberty/core/scheduler.hpp"
 #include "liberty/core/simulator.hpp"
 #include "liberty/support/error.hpp"
+#include "liberty/upl/upl.hpp"
 #include "test_util.hpp"
+
+#ifndef LIBERTY_REPO_ROOT
+#error "LIBERTY_REPO_ROOT must point at the repository checkout"
+#endif
 
 namespace {
 
@@ -90,6 +98,73 @@ TEST(LssErrors, OrdinaryNestingStillParses) {
   EXPECT_EQ(diagnostic(src), "");
 }
 
+// Generative loops and instances draw on one fixed elaboration budget, so a
+// runaway `for` ends in a located diagnostic naming the loop instead of
+// elaborating until the process is killed.
+TEST(LssErrors, HugeLoopHitsElaborationBudgetFast) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string msg = diagnostic("for i in 0 .. 100000000 { }\n");
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  EXPECT_NE(msg.find("test.lss:1:"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("for loop over 'i' exceeds the elaboration budget"),
+            std::string::npos)
+      << msg;
+  EXPECT_LT(seconds, 1.0);
+}
+
+TEST(LssErrors, NestedLoopsHitElaborationBudget) {
+  const std::string msg = diagnostic(
+      "for i in 0 .. 10000 {\n"
+      "  for j in 0 .. 10000 { }\n"
+      "}\n");
+  EXPECT_NE(msg.find("test.lss:2:"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("for loop over 'j' exceeds the elaboration budget"),
+            std::string::npos)
+      << msg;
+}
+
+// The budget is far above real specs: 1024 hierarchical lanes (the size
+// of the benchmark's generated spec) and every shipped example elaborate.
+TEST(LssErrors, RealSpecsFitTheElaborationBudget) {
+  const std::string lanes =
+      "module lane {\n"
+      "  param period = 1;\n"
+      "  instance src : pcl.source { kind = \"counter\"; period = period; };\n"
+      "  instance q : pcl.queue { depth = 4; };\n"
+      "  instance d : pcl.delay { latency = 2; };\n"
+      "  instance f0 : pcl.funcmap;\n"
+      "  instance f1 : pcl.funcmap;\n"
+      "  instance snk : pcl.sink;\n"
+      "  connect src.out -> q.in;\n"
+      "  connect q.out -> d.in;\n"
+      "  connect d.out -> f0.in;\n"
+      "  connect f0.out -> f1.in;\n"
+      "  connect f1.out -> snk.in;\n"
+      "}\n"
+      "for i in 0 .. 1024 {\n"
+      "  instance l[i] : lane { period = 1 + i % 64; };\n"
+      "}\n";
+  liberty::core::Netlist netlist;
+  liberty::core::lss::build_from_lss(lanes, "lanes.lss", netlist, registry());
+  EXPECT_EQ(netlist.module_count(), 1024u * 6u);
+
+  liberty::core::ModuleRegistry full;
+  liberty::pcl::register_pcl(full);
+  liberty::upl::register_upl(full);
+  liberty::ccl::register_ccl(full);
+  for (const char* leaf :
+       {"busnet.lss", "cpu.lss", "funnel.lss", "pipeline.lss"}) {
+    const std::string path =
+        std::string(LIBERTY_REPO_ROOT) + "/examples/specs/" + leaf;
+    liberty::core::Netlist nl;
+    liberty::core::lss::Elaborator(full).elaborate(
+        liberty::core::lss::parse_file(path), nl);
+    EXPECT_GT(nl.module_count(), 0u) << leaf;
+  }
+}
+
 // A negative size parameter must not wrap around to an unbounded size_t.
 TEST(LssErrors, NegativeSizeParameterIsRejected) {
   expect_diag("instance q : pcl.queue { depth = -5; };\n",
@@ -160,8 +235,7 @@ TEST(LssErrors, CombinationalLoopDiagnosedWithChannelChain) {
   // point passes per group, so the cap fires with the loop attributed
   // (the dynamic scheduler may trip the non-monotone-drive check first,
   // depending on worklist order).
-  liberty::core::Simulator sim(netlist, liberty::core::SchedulerKind::Static,
-                               0);
+  liberty::core::Simulator sim(netlist, liberty::core::SchedulerKind::Static);
   sim.scheduler().set_iteration_cap(1);
   try {
     sim.run(10);

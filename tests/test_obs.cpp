@@ -105,7 +105,7 @@ TEST(ObsJson, ParserRejectsGarbage) {
 TEST(ObsTrace, StructurallyValidChromeTrace) {
   Netlist nl;
   build_pipeline(nl);
-  Simulator sim(nl, SchedulerKind::Parallel, 2);
+  Simulator sim(nl, SchedulerKind::Static);
 
   std::ostringstream trace_out;
   CycleProfiler prof;
@@ -260,33 +260,13 @@ TEST(ObsProfiler, BooksBalanceAgainstSchedulerCounters) {
   EXPECT_EQ(attributed, sim.scheduler().react_calls());
 }
 
-TEST(ObsProfiler, ParallelLanesAccounted) {
-  Netlist nl;
-  build_pipeline(nl);
-  Simulator sim(nl, SchedulerKind::Parallel, 2);
-  CycleProfiler prof;
-  sim.set_probe(&prof);
-  sim.run(25);
-
-  std::uint64_t attributed = 0;
-  for (const std::uint64_t r : prof.module_reacts()) attributed += r;
-  EXPECT_EQ(attributed, sim.scheduler().react_calls());
-  // Wave/lane accounting only exists when waves were actually dispatched
-  // to the pool (narrow waves run inline).
-  if (prof.waves() > 0) {
-    EXPECT_FALSE(prof.lanes().empty());
-    EXPECT_GE(prof.lane_idle_seconds(), 0.0);
-  }
-}
-
 // --- Observer identity across schedulers -----------------------------------
 
 std::vector<std::string> record_transfers(const NetSpec& spec,
-                                          SchedulerKind kind,
-                                          unsigned threads, bool profile) {
+                                          SchedulerKind kind, bool profile) {
   Netlist nl;
   spec.build(nl, fuzz_registry());
-  Simulator sim(nl, kind, threads);
+  Simulator sim(nl, kind);
   CycleProfiler prof;
   if (profile) sim.set_probe(&prof);
   std::vector<std::string> events;
@@ -304,18 +284,14 @@ TEST(ObsIdentity, TransferObserverIdenticalAcrossSchedulers) {
   bool saw_transfers = false;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const NetSpec spec = generate_netlist(seed, cfg);
-    const auto ref = record_transfers(spec, SchedulerKind::Dynamic, 0,
+    const auto ref = record_transfers(spec, SchedulerKind::Dynamic,
                                       /*profile=*/false);
     saw_transfers = saw_transfers || !ref.empty();
     // Same events in the same order — under every scheduler, and
     // indifferent to an attached profiler.
-    EXPECT_EQ(record_transfers(spec, SchedulerKind::Dynamic, 0, true), ref)
+    EXPECT_EQ(record_transfers(spec, SchedulerKind::Dynamic, true), ref)
         << "seed " << seed;
-    EXPECT_EQ(record_transfers(spec, SchedulerKind::Static, 0, true), ref)
-        << "seed " << seed;
-    EXPECT_EQ(record_transfers(spec, SchedulerKind::Parallel, 1, true), ref)
-        << "seed " << seed;
-    EXPECT_EQ(record_transfers(spec, SchedulerKind::Parallel, 4, true), ref)
+    EXPECT_EQ(record_transfers(spec, SchedulerKind::Static, true), ref)
         << "seed " << seed;
   }
   EXPECT_TRUE(saw_transfers);

@@ -315,14 +315,13 @@ NetSpec burst_netspec() {
 
 TEST(OptGate, IdleSccsSleepAndWakeOnTraffic) {
   for (const SchedulerKind kind :
-       {SchedulerKind::Dynamic, SchedulerKind::Static,
-        SchedulerKind::Parallel}) {
+       {SchedulerKind::Dynamic, SchedulerKind::Static}) {
     Netlist nl;
     burst_netspec().build(nl, registry());
     const OptReport rep = liberty::opt::optimize(nl);
     EXPECT_TRUE(rep.gating);
     EXPECT_GE(rep.sleepable_modules, 3u);  // delay, probe, sink
-    Simulator sim(nl, kind, /*threads=*/2);
+    Simulator sim(nl, kind);
     sim.run(400);
     EXPECT_GT(counter(sim, "opt.gated_sccs"), 0u) << (int)kind;
     EXPECT_GT(counter(sim, "opt.scc_sleeps"), 0u) << (int)kind;
@@ -355,8 +354,6 @@ std::vector<Candidate> optimized_battery() {
   return {Candidate{SchedulerKind::Dynamic, 0, 2},
           Candidate{SchedulerKind::Static, 0, 1},
           Candidate{SchedulerKind::Static, 0, 2},
-          Candidate{SchedulerKind::Parallel, 1, 2},
-          Candidate{SchedulerKind::Parallel, 4, 2},
           Candidate{SchedulerKind::Compiled, 0, 1},
           Candidate{SchedulerKind::Compiled, 0, 2}};
 }

@@ -34,8 +34,7 @@ struct NetSignature {
   std::vector<std::int64_t> stream;
 };
 
-NetSignature run_random_net(std::uint64_t seed, SchedulerKind kind,
-                            unsigned threads = 0) {
+NetSignature run_random_net(std::uint64_t seed, SchedulerKind kind) {
   Rng rng(seed);
   Netlist nl;
 
@@ -110,7 +109,7 @@ NetSignature run_random_net(std::uint64_t seed, SchedulerKind kind,
     });
   }
 
-  Simulator sim(nl, kind, threads);
+  Simulator sim(nl, kind);
   sim.run(800);
   for (const auto& c : nl.connections()) sig.transfers += c->transfer_count();
   return sig;
@@ -124,12 +123,6 @@ TEST_P(RandomNet, SchedulersBitIdentical) {
   EXPECT_EQ(dyn.transfers, sta.transfers);
   EXPECT_EQ(dyn.stream, sta.stream);
   EXPECT_GT(dyn.transfers, 0u);
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    const NetSignature par =
-        run_random_net(GetParam(), SchedulerKind::Parallel, threads);
-    EXPECT_EQ(dyn.transfers, par.transfers) << "parallel/" << threads;
-    EXPECT_EQ(dyn.stream, par.stream) << "parallel/" << threads;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomNet,
@@ -143,7 +136,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomNet,
 class Conservation : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(Conservation, NoItemCreatedOrLost) {
-  const auto run = [&](SchedulerKind kind, unsigned threads) {
+  const auto run = [&](SchedulerKind kind) {
     Rng rng(GetParam());
     Netlist nl;
     const int count = 30 + static_cast<int>(rng.below(50));
@@ -166,14 +159,13 @@ TEST_P(Conservation, NoItemCreatedOrLost) {
     }
     nl.connect(arb.out("out"), sink.in("in"));
     nl.finalize();
-    Simulator sim(nl, kind, threads);
+    Simulator sim(nl, kind);
     sim.run(2000);
     EXPECT_EQ(sink.consumed(), static_cast<std::uint64_t>(count))
         << "scheduler " << sim.scheduler().kind_name();
   };
-  run(SchedulerKind::Dynamic, 0);
-  run(SchedulerKind::Static, 0);
-  run(SchedulerKind::Parallel, 2);
+  run(SchedulerKind::Dynamic);
+  run(SchedulerKind::Static);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Conservation,

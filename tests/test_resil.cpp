@@ -93,11 +93,10 @@ struct TracedRun {
 };
 
 /// Build a fresh netlist from `spec`, optionally optimize, optionally
-/// inject, run `cycles` under (kind, threads) recording the transfer
-/// trace.  Everything a determinism comparison needs in one value.
-TracedRun run_traced(const NetSpec& spec, SchedulerKind kind,
-                     unsigned threads, int opt_level, const FaultPlan* plan,
-                     Cycle cycles = kCycles) {
+/// inject, run `cycles` under `kind` recording the transfer trace.
+/// Everything a determinism comparison needs in one value.
+TracedRun run_traced(const NetSpec& spec, SchedulerKind kind, int opt_level,
+                     const FaultPlan* plan, Cycle cycles = kCycles) {
   Netlist netlist;
   spec.build(netlist, registry());
   if (opt_level > 0) {
@@ -108,7 +107,7 @@ TracedRun run_traced(const NetSpec& spec, SchedulerKind kind,
   // clears the per-connection hooks).
   std::unique_ptr<FaultInjector> inj;
   if (plan != nullptr) inj = std::make_unique<FaultInjector>(*plan);
-  Simulator sim(netlist, kind, threads);
+  Simulator sim(netlist, kind);
   if (inj) inj->install(sim);
   TraceRecorder rec(netlist);
   sim.set_probe(&rec);
@@ -153,7 +152,7 @@ std::vector<std::vector<std::uint64_t>> record_baseline(const NetSpec& spec,
     liberty::opt::optimize(netlist,
                            liberty::opt::OptOptions::for_level(opt_level));
   }
-  Simulator sim(netlist, SchedulerKind::Static, 0);
+  Simulator sim(netlist, SchedulerKind::Static);
   Watchdog rec;
   rec.record_baseline();
   rec.attach(sim);
@@ -199,6 +198,36 @@ TEST(FaultPlan, FromJsonRejectsGarbage) {
                liberty::Error);
 }
 
+// A spec restricted to a name no scheduler reports would silently inject
+// nothing, so the plan parser and the injector both refuse it.
+TEST(FaultPlan, SchedulerRestrictionMustNameAKind) {
+  const auto plan_json = [](const std::string& sched) {
+    return "{\"schema\":\"liberty.faultplan\",\"version\":1,\"seed\":1,"
+           "\"faults\":[{\"class\":\"drop_ack\",\"connection\":0,"
+           "\"scheduler\":\"" +
+           sched + "\"}]}";
+  };
+  for (const char* ok : {"dynamic", "static", "compiled", "native"}) {
+    EXPECT_EQ(FaultPlan::from_json(plan_json(ok)).faults[0].scheduler, ok);
+  }
+  for (const char* bad : {"parallel", "statc", "dyn", "Static"}) {
+    try {
+      (void)FaultPlan::from_json(plan_json(bad));
+      ADD_FAILURE() << "accepted scheduler '" << bad << "'";
+    } catch (const liberty::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+          << e.what();
+    }
+  }
+  Netlist netlist;
+  matrix_spec().build(netlist, registry());
+  Simulator sim(netlist);
+  FaultPlan plan = plan_for(FaultClass::DropAck);
+  plan.faults[0].scheduler = "parallel";
+  FaultInjector inj(plan);
+  EXPECT_THROW(inj.install(sim), liberty::Error);
+}
+
 TEST(FaultPlan, RandomIsDeterministicPerSeed) {
   Netlist netlist;
   matrix_spec().build(netlist, registry());
@@ -240,12 +269,10 @@ TEST(Injection, IdenticalAcrossSchedulersAndOptLevels) {
   const NetSpec spec = matrix_spec();
   struct Cfg {
     SchedulerKind kind;
-    unsigned threads;
     const char* name;
   };
-  const Cfg cfgs[] = {{SchedulerKind::Dynamic, 0, "dynamic"},
-                      {SchedulerKind::Static, 0, "static"},
-                      {SchedulerKind::Parallel, 2, "parallel"}};
+  const Cfg cfgs[] = {{SchedulerKind::Dynamic, "dynamic"},
+                      {SchedulerKind::Static, "static"}};
   for (std::size_t i = 0; i < liberty::resil::kFaultClassCount; ++i) {
     const auto cls = static_cast<FaultClass>(i);
     // Environment faults fire on the durable-checkpoint seam, not inside
@@ -253,7 +280,7 @@ TEST(Injection, IdenticalAcrossSchedulersAndOptLevels) {
     if (liberty::resil::is_env_fault(cls)) continue;
     const FaultPlan plan = plan_for(cls);
     const TracedRun ref =
-        run_traced(spec, SchedulerKind::Dynamic, 0, /*opt=*/0, &plan);
+        run_traced(spec, SchedulerKind::Dynamic, /*opt=*/0, &plan);
     ASSERT_FALSE(ref.sites.empty())
         << liberty::resil::fault_class_name(cls) << " never applied";
     EXPECT_EQ(ref.sites.front().first_cycle, kOnset)
@@ -263,8 +290,7 @@ TEST(Injection, IdenticalAcrossSchedulersAndOptLevels) {
         const std::string label =
             std::string(liberty::resil::fault_class_name(cls)) + " under " +
             cfg.name + " -O" + std::to_string(opt);
-        expect_same_run(
-            ref, run_traced(spec, cfg.kind, cfg.threads, opt, &plan), label);
+        expect_same_run(ref, run_traced(spec, cfg.kind, opt, &plan), label);
       }
     }
   }
@@ -273,7 +299,7 @@ TEST(Injection, IdenticalAcrossSchedulersAndOptLevels) {
 TEST(Injection, FaultedTraceDiffersFromFaultFree) {
   const NetSpec spec = matrix_spec();
   const TracedRun clean =
-      run_traced(spec, SchedulerKind::Static, 0, 0, nullptr);
+      run_traced(spec, SchedulerKind::Static, 0, nullptr);
   ASSERT_FALSE(clean.aborted);
   for (std::size_t i = 0; i < liberty::resil::kFaultClassCount; ++i) {
     const auto cls = static_cast<FaultClass>(i);
@@ -282,7 +308,7 @@ TEST(Injection, FaultedTraceDiffersFromFaultFree) {
     if (liberty::resil::is_env_fault(cls)) continue;
     const FaultPlan plan = plan_for(cls);
     const TracedRun faulted =
-        run_traced(spec, SchedulerKind::Static, 0, 0, &plan);
+        run_traced(spec, SchedulerKind::Static, 0, &plan);
     if (cls == FaultClass::SpuriousAck) {
       // A forged ack on an ungated AutoAccept connection cannot mint a
       // transfer (transfer needs enable too), so the data plane is
@@ -304,9 +330,8 @@ TEST(Injection, FaultedTraceDiffersFromFaultFree) {
 
 TEST(Injection, HandlerThrowAbortsAtOnsetCycle) {
   const FaultPlan plan = plan_for(FaultClass::HandlerThrow);
-  for (const auto kind :
-       {SchedulerKind::Dynamic, SchedulerKind::Static, SchedulerKind::Parallel}) {
-    const TracedRun r = run_traced(matrix_spec(), kind, 2, 2, &plan);
+  for (const auto kind : {SchedulerKind::Dynamic, SchedulerKind::Static}) {
+    const TracedRun r = run_traced(matrix_spec(), kind, 2, &plan);
     ASSERT_TRUE(r.aborted);
     EXPECT_EQ(r.aborted_at, kOnset);
     EXPECT_NE(r.error.find("module 'q'"), std::string::npos) << r.error;
@@ -320,9 +345,9 @@ TEST(Injection, SchedulerRestrictedPlanOnlyBitesThatScheduler) {
   FaultPlan plan = plan_for(FaultClass::DropAck);
   plan.faults[0].scheduler = "static";
   const TracedRun on_static =
-      run_traced(matrix_spec(), SchedulerKind::Static, 0, 0, &plan);
+      run_traced(matrix_spec(), SchedulerKind::Static, 0, &plan);
   const TracedRun on_dynamic =
-      run_traced(matrix_spec(), SchedulerKind::Dynamic, 0, 0, &plan);
+      run_traced(matrix_spec(), SchedulerKind::Dynamic, 0, &plan);
   EXPECT_FALSE(on_static.sites.empty());
   EXPECT_TRUE(on_dynamic.sites.empty());
   EXPECT_NE(on_static.hashes, on_dynamic.hashes);
@@ -362,7 +387,7 @@ DetectionOutcome detect(FaultClass cls, int opt_level) {
   }
   const FaultPlan plan = plan_for(cls);
   FaultInjector inj(plan);
-  Simulator sim(netlist, SchedulerKind::Static, 0);
+  Simulator sim(netlist, SchedulerKind::Static);
   inj.install(sim);
   Watchdog wd;
   wd.set_baseline(std::move(baseline));
@@ -440,7 +465,7 @@ TEST(Watchdog, ZeroFalsePositivesOnFaultFreeRuns) {
         liberty::opt::optimize(netlist,
                                liberty::opt::OptOptions::for_level(opt));
       }
-      Simulator sim(netlist, SchedulerKind::Static, 0);
+      Simulator sim(netlist, SchedulerKind::Static);
       Watchdog wd;
       wd.set_baseline(std::move(baseline));
       wd.attach(sim);

@@ -25,6 +25,7 @@
 #include "liberty/scenario/rack.hpp"
 #include "liberty/scenario/trace.hpp"
 #include "liberty/scenario/trace_modules.hpp"
+#include "liberty/testing/fuzzer.hpp"
 #include "liberty/testing/oracle.hpp"
 
 #ifndef LIBERTY_REPO_ROOT
@@ -130,7 +131,7 @@ TEST(Trace, ParserRejectsMalformedInput) {
 // --- The oracle identity: tentpole acceptance criterion ---------------------
 
 // The rack netlist — every component library at once — must be bit-identical
-// (transfer trace, state digests, stats) under all four schedulers at both
+// (transfer trace, state digests, stats) under every scheduler at both
 // -O0 and -O2, proved by the differential oracle against the dynamic -O0
 // reference.
 TEST(Scenario, OracleIdentityAcrossSchedulersAndOptLevels) {
@@ -139,11 +140,9 @@ TEST(Scenario, OracleIdentityAcrossSchedulersAndOptLevels) {
   oracle.snapshot_every = 256;
   oracle.candidates = {
       Candidate{SchedulerKind::Static, 0},
-      Candidate{SchedulerKind::Parallel, 2},
       Candidate{SchedulerKind::Compiled, 0},
       Candidate{SchedulerKind::Dynamic, 0, /*opt_level=*/2},
       Candidate{SchedulerKind::Static, 0, /*opt_level=*/2},
-      Candidate{SchedulerKind::Parallel, 2, /*opt_level=*/2},
       Candidate{SchedulerKind::Compiled, 0, /*opt_level=*/2},
   };
   const liberty::testing::OracleResult r =
@@ -164,7 +163,7 @@ TEST(Scenario, ReplayIsByteIdentical) {
     spec.build(netlist, rack_registry());
     liberty::opt::optimize(netlist,
                            liberty::opt::OptOptions::for_level(opt_level));
-    Simulator sim(netlist, kind, kind == SchedulerKind::Parallel ? 2 : 0);
+    Simulator sim(netlist, kind);
     sim.run(cfg.cycles);
     EXPECT_GT(completed_count(netlist, cfg), 0u);
     return all_records(netlist, cfg);
@@ -174,8 +173,72 @@ TEST(Scenario, ReplayIsByteIdentical) {
   EXPECT_NE(reference.find("rec "), std::string::npos) << reference;
   EXPECT_EQ(run(SchedulerKind::Static, 0), reference) << "fresh elaboration";
   EXPECT_EQ(run(SchedulerKind::Dynamic, 0), reference) << "dynamic";
-  EXPECT_EQ(run(SchedulerKind::Parallel, 0), reference) << "parallel";
   EXPECT_EQ(run(SchedulerKind::Compiled, 2), reference) << "compiled -O2";
+}
+
+// --- Exactly-once commit ----------------------------------------------------
+
+/// Counts completed transfers straight from channel state at the end of
+/// every resolve phase — independently of the scheduler's dirty list.
+class ResolvedTransferCounter final : public liberty::core::KernelProbe {
+ public:
+  explicit ResolvedTransferCounter(const Netlist& netlist)
+      : netlist_(netlist) {}
+  void on_cycle_resolved(Cycle) override {
+    for (const auto& c : netlist_.connections()) {
+      if (c->transferred()) ++count;
+    }
+  }
+  std::uint64_t count = 0;
+
+ private:
+  const Netlist& netlist_;
+};
+
+// Every scheduler commits each transfer exactly once: its running total,
+// the per-connection counts and the transfers visible in channel state all
+// agree, on the rack and on a fuzzed netlist.  A transfer recorded twice on
+// the dirty list would double the first two but not the third.  Runs
+// without a probe (native's lazily published channels) are held to the
+// probed dynamic count instead.
+TEST(Scenario, TransfersCommittedOncePerTransfer) {
+  const NetSpec rack = liberty::scenario::rack_netspec(tiny_rack());
+  liberty::testing::FuzzConfig fuzz_cfg;
+  fuzz_cfg.feedback_prob = 1.0;
+  const NetSpec fuzz = liberty::testing::generate_netlist(3, fuzz_cfg);
+  for (const NetSpec* spec : {&rack, &fuzz}) {
+    std::uint64_t reference = 0;
+    for (const SchedulerKind kind : liberty::core::kSchedulerKinds) {
+      for (const int opt_level : {0, 2}) {
+        for (const bool probed : {true, false}) {
+          Netlist netlist;
+          spec->build(netlist, rack_registry());
+          liberty::opt::optimize(
+              netlist, liberty::opt::OptOptions::for_level(opt_level));
+          Simulator sim(netlist, kind);
+          ResolvedTransferCounter resolved(netlist);
+          if (probed) sim.set_probe(&resolved);
+          sim.run(spec->cycles);
+          if (reference == 0) reference = resolved.count;
+          std::uint64_t per_conn = 0;
+          for (const auto& c : netlist.connections()) {
+            per_conn += c->transfer_count();
+          }
+          const std::string label =
+              std::string(sim.scheduler().kind_name()) + " -O" +
+              std::to_string(opt_level) + (probed ? " probed" : "") +
+              (spec == &rack ? " rack" : " fuzz");
+          EXPECT_GT(reference, 0u) << label;
+          EXPECT_EQ(sim.scheduler().transfers_committed(), reference)
+              << label;
+          EXPECT_EQ(per_conn, reference) << label;
+          if (probed) {
+            EXPECT_EQ(resolved.count, reference) << label;
+          }
+        }
+      }
+    }
+  }
 }
 
 // An explicit trace file (here: the rendered synthetic trace fed back in
@@ -193,7 +256,7 @@ TEST(Scenario, ExplicitTraceFileMatchesSynthetic) {
   auto run = [&](const RackConfig& cfg) {
     Netlist netlist;
     liberty::scenario::rack_netspec(cfg).build(netlist, rack_registry());
-    Simulator sim(netlist, SchedulerKind::Static, 0);
+    Simulator sim(netlist, SchedulerKind::Static);
     sim.run(cfg.cycles);
     return all_records(netlist, cfg);
   };
@@ -208,7 +271,7 @@ TEST(Scenario, SnapshotRestoreMidFlight) {
   const RackConfig cfg = tiny_rack();
   Netlist netlist;
   liberty::scenario::rack_netspec(cfg).build(netlist, rack_registry());
-  Simulator sim(netlist, SchedulerKind::Static, 0);
+  Simulator sim(netlist, SchedulerKind::Static);
 
   sim.run(cfg.cycles / 4);  // requests are mid-flight here
   const KernelSnapshot snap = sim.snapshot();
@@ -265,7 +328,7 @@ TEST(Scenario, NicChannelFaultRecoversViaSupervisor) {
   {
     Netlist twin;
     spec.build(twin, rack_registry());
-    Simulator sim(twin, SchedulerKind::Static, 0);
+    Simulator sim(twin, SchedulerKind::Static);
     liberty::resil::Watchdog rec;
     rec.record_baseline();
     rec.attach(sim);
@@ -309,7 +372,7 @@ TEST(Scenario, FuzzFamilyIsDeterministicPerSeed) {
     // Every generated spec elaborates and runs.
     Netlist netlist;
     a.build(netlist, rack_registry());
-    Simulator sim(netlist, SchedulerKind::Static, 0);
+    Simulator sim(netlist, SchedulerKind::Static);
     EXPECT_EQ(sim.run(64), 64u);
   }
   EXPECT_NE(liberty::scenario::fuzz_rack_netspec(1).render(),
@@ -332,7 +395,7 @@ TEST(Scenario, StateDigestEqualsSnapshotDigest) {
         liberty::opt::optimize(netlist,
                                liberty::opt::OptOptions::for_level(level));
       }
-      Simulator sim(netlist, kind, 0);
+      Simulator sim(netlist, kind);
       EXPECT_EQ(sim.state_digest(), sim.snapshot().digest()) << where;
       KernelSnapshot mid;
       for (const Cycle stop : {Cycle{17}, Cycle{200}, Cycle{333}}) {
@@ -359,8 +422,8 @@ TEST(Scenario, StateDigestScratchReuseLeavesNoState) {
   Netlist b;
   liberty::scenario::fuzz_rack_netspec(3).build(a, rack_registry());
   liberty::scenario::fuzz_rack_netspec(4).build(b, rack_registry());
-  Simulator sim_a(a, SchedulerKind::Static, 0);
-  Simulator sim_b(b, SchedulerKind::Static, 0);
+  Simulator sim_a(a, SchedulerKind::Static);
+  Simulator sim_b(b, SchedulerKind::Static);
   sim_a.run(100);
   sim_b.run(150);
 
@@ -417,7 +480,7 @@ TEST(Scenario, GoldenMetricsExport) {
   const RackConfig cfg = tiny_rack();
   Netlist netlist;
   liberty::scenario::rack_netspec(cfg).build(netlist, rack_registry());
-  Simulator sim(netlist, SchedulerKind::Static, 0);
+  Simulator sim(netlist, SchedulerKind::Static);
   const std::uint64_t ran = sim.run(cfg.cycles);
 
   std::uint64_t injected = 0;
@@ -477,7 +540,6 @@ TEST(Scenario, GoldenMetricsExport) {
   meta.tool = "rack_sim";
   meta.spec = cfg.tag();
   meta.scheduler = "static";
-  meta.threads = 0;
   meta.seed = cfg.seed;
   meta.cycles = ran;
   meta.git_rev = "golden";  // pinned: goldens must not depend on HEAD

@@ -1,7 +1,8 @@
 // Scheduler edge cases: degenerate netlists and re-entrant runs must work
-// identically under all three schedulers.
+// identically under the dynamic and static schedulers.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,14 +22,13 @@ using liberty::test::params;
 using liberty::test::registry;
 
 const SchedulerKind kAllKinds[] = {SchedulerKind::Dynamic,
-                                   SchedulerKind::Static,
-                                   SchedulerKind::Parallel};
+                                   SchedulerKind::Static};
 
 TEST(SchedulerEdge, EmptyNetlistRunsEveryScheduler) {
   for (const SchedulerKind kind : kAllKinds) {
     Netlist netlist;
     netlist.finalize();
-    Simulator sim(netlist, kind, 2);
+    Simulator sim(netlist, kind);
     EXPECT_EQ(sim.run(10), 10u);
     EXPECT_EQ(sim.now(), 10u);
   }
@@ -41,14 +41,15 @@ TEST(SchedulerEdge, SingleModuleNetlist) {
     spec.modules.push_back({"pcl.sink", "only", {}});
     Netlist netlist;
     spec.build(netlist, registry());
-    Simulator sim(netlist, kind, 4);
+    Simulator sim(netlist, kind);
     EXPECT_EQ(sim.run(25), 25u);
   }
 }
 
 TEST(SchedulerEdge, MoreThreadsThanModules) {
-  // A 3-module pipeline under 16 worker threads: most threads idle every
-  // wave, and the result must still match the reference bit for bit.
+  // The kernel is single-threaded: an oracle candidate asking for 16
+  // threads on a 3-module pipeline is rejected instead of silently running
+  // on one.
   liberty::testing::NetSpec spec;
   spec.modules.push_back({"pcl.source", "src",
                           params({{"kind", Value(std::string("counter"))},
@@ -61,7 +62,9 @@ TEST(SchedulerEdge, MoreThreadsThanModules) {
   spec.cycles = 100;
 
   liberty::testing::OracleConfig cfg;
-  cfg.candidates = {{SchedulerKind::Parallel, 16}};
+  cfg.candidates = {{SchedulerKind::Static, 16}};
+  EXPECT_THROW((void)run_oracle(spec, registry(), cfg), std::invalid_argument);
+  cfg.candidates = {{SchedulerKind::Static, 0}};
   const liberty::testing::OracleResult r = run_oracle(spec, registry(), cfg);
   EXPECT_TRUE(r.ok) << r.report();
 }
@@ -79,7 +82,7 @@ TEST(SchedulerEdge, RunIsReentrantAfterStop) {
   for (const SchedulerKind kind : kAllKinds) {
     Netlist netlist;
     spec.build(netlist, registry());
-    Simulator sim(netlist, kind, 2);
+    Simulator sim(netlist, kind);
 
     const Cycle first = sim.run(100);
     EXPECT_GT(first, 0u);

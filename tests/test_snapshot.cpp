@@ -303,7 +303,7 @@ TEST(Snapshot, RestoreUnderO2GatingReplaysBitIdentical) {
     liberty::opt::optimize(netlist, liberty::opt::OptOptions::for_level(2));
     for (const auto kind : {liberty::core::SchedulerKind::Dynamic,
                             liberty::core::SchedulerKind::Static}) {
-      Simulator sim(netlist, kind, 0);
+      Simulator sim(netlist, kind);
       std::vector<std::string> log;
       record_transfers(sim, log);
 

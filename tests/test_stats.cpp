@@ -1,12 +1,15 @@
 // Support-library statistics: Histogram::quantile edge cases (the empty /
 // q=0 / q=1 / overflow contract) and the StatSet dump format the golden
-// tests snapshot.
+// tests snapshot; plus the strict numeric parser the command-line tools
+// share.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
 #include "liberty/support/stats.hpp"
+#include "liberty/support/strings.hpp"
 
 namespace {
 
@@ -76,6 +79,21 @@ TEST(StatSet, DumpIncludesQuantiles) {
   EXPECT_NE(out.find("p50="), std::string::npos) << out;
   EXPECT_NE(out.find("p95="), std::string::npos) << out;
   EXPECT_NE(out.find("p99="), std::string::npos) << out;
+}
+
+TEST(Strings, ParseU64IsStrict) {
+  std::uint64_t v = 7;
+  for (const char* bad : {"", "abc", "12x", "-3", "+3", " 3", "3 ",
+                          "18446744073709551616", "99999999999999999999"}) {
+    EXPECT_FALSE(liberty::parse_u64(bad, v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 7u) << "'" << bad << "' clobbered the output";
+  }
+  ASSERT_TRUE(liberty::parse_u64("0", v));
+  EXPECT_EQ(v, 0u);
+  ASSERT_TRUE(liberty::parse_u64("42", v));
+  EXPECT_EQ(v, 42u);
+  ASSERT_TRUE(liberty::parse_u64("18446744073709551615", v));
+  EXPECT_EQ(v, UINT64_MAX);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // liberty_fuzz: command-line driver for the differential fuzz harness.
 //
 // Generates seeded random netlists, runs each under the dynamic reference
-// scheduler plus a battery of candidates (static, parallel at several
-// thread counts), and reports any divergence down to the exact cycle via
-// snapshot/restore bisection.  Every run is reproducible from its seed:
+// scheduler plus a battery of candidates (static and compiled, unoptimized
+// and at --opt-level), and reports any divergence down to the exact cycle
+// via snapshot/restore bisection.  Every run is reproducible from its seed:
 //
 //   liberty_fuzz --seed 42                 # one netlist, full oracle
 //   liberty_fuzz --seed 1 --count 500      # seeds 1..500
@@ -38,6 +38,7 @@
 #include "liberty/gen/compiled_scheduler.hpp"
 #include "liberty/resil/watchdog.hpp"
 #include "liberty/scenario/rack.hpp"
+#include "liberty/support/strings.hpp"
 #include "liberty/testing/fuzzer.hpp"
 #include "liberty/testing/netspec.hpp"
 #include "liberty/testing/oracle.hpp"
@@ -67,7 +68,8 @@ constexpr const char* kUsage = R"(usage: liberty_fuzz [options]
   --print-spec        print each generated netlist before running it
   --shrink            on failure, shrink to a minimal reproducer
   --no-bisect         skip snapshot/restore bisection on divergence
-  --inject-fault K:C:N  drop acks under scheduler K (dynamic|static|parallel)
+  --inject-fault K:C:N  drop acks under scheduler K
+                      (dynamic|static|compiled|native)
                       from cycle C on connection N (harness self-test; sugar
                       for a one-spec --faults plan restricted to K)
   --faults FILE       inject the liberty.faultplan JSON plan FILE into every
@@ -102,16 +104,9 @@ struct Options {
   bool fault_matrix = false;
 };
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
 /// K:C:N — the pre-FaultPlan CLI shape, kept for compatibility: a drop_ack
-/// spec on connection N from cycle C, restricted to scheduler kind K.
+/// spec on connection N from cycle C, restricted to scheduler kind K
+/// (checked by the caller, like a plan file's "scheduler").
 bool parse_fault(const std::string& arg, liberty::resil::FaultSpec& f) {
   const std::size_t c1 = arg.find(':');
   const std::size_t c2 = arg.find(':', c1 == std::string::npos ? c1 : c1 + 1);
@@ -119,12 +114,10 @@ bool parse_fault(const std::string& arg, liberty::resil::FaultSpec& f) {
   f.scheduler = arg.substr(0, c1);
   std::uint64_t cycle = 0;
   std::uint64_t conn = 0;
-  if (!parse_u64(arg.substr(c1 + 1, c2 - c1 - 1).c_str(), cycle)) return false;
-  if (!parse_u64(arg.substr(c2 + 1).c_str(), conn)) return false;
-  if (f.scheduler != "dynamic" && f.scheduler != "static" &&
-      f.scheduler != "parallel") {
+  if (!liberty::parse_u64(arg.substr(c1 + 1, c2 - c1 - 1), cycle)) {
     return false;
   }
+  if (!liberty::parse_u64(arg.substr(c2 + 1), conn)) return false;
   f.cls = liberty::resil::FaultClass::DropAck;
   f.from_cycle = cycle;
   f.connection = static_cast<liberty::core::ConnId>(conn);
@@ -152,15 +145,21 @@ int parse_args(int argc, char** argv, Options& opt) {
       }
       return argv[++i];
     };
+    const auto next_u64 = [&](std::uint64_t& out) {
+      const char* v = next();
+      if (v == nullptr) return false;
+      if (liberty::parse_u64(v, out)) return true;
+      std::cerr << "liberty_fuzz: " << a << " wants an unsigned integer, got '"
+                << v << "'\n";
+      return false;
+    };
     if (a == "--help" || a == "-h") {
       std::cout << kUsage;
       std::exit(0);
     } else if (a == "--seed") {
-      const char* v = next();
-      if (v == nullptr || !parse_u64(v, opt.seed)) return 2;
+      if (!next_u64(opt.seed)) return 2;
     } else if (a == "--count") {
-      const char* v = next();
-      if (v == nullptr || !parse_u64(v, opt.count)) return 2;
+      if (!next_u64(opt.count)) return 2;
     } else if (a == "--family") {
       const char* v = next();
       if (v == nullptr) return 2;
@@ -171,18 +170,23 @@ int parse_args(int argc, char** argv, Options& opt) {
       }
     } else if (a == "--cycles") {
       std::uint64_t c = 0;
-      const char* v = next();
-      if (v == nullptr || !parse_u64(v, c) || c == 0) return 2;
+      if (!next_u64(c) || c == 0) return 2;
       opt.fuzz.cycles = static_cast<liberty::core::Cycle>(c);
     } else if (a == "--snapshot-every") {
       std::uint64_t k = 0;
-      const char* v = next();
-      if (v == nullptr || !parse_u64(v, k) || k == 0) return 2;
+      if (!next_u64(k) || k == 0) return 2;
       opt.oracle.snapshot_every = static_cast<liberty::core::Cycle>(k);
     } else if (a == "--feedback") {
       const char* v = next();
       if (v == nullptr) return 2;
-      opt.fuzz.feedback_prob = std::strtod(v, nullptr);
+      char* end = nullptr;
+      const double p = std::strtod(v, &end);
+      if (end == v || *end != '\0' || !(p >= 0.0 && p <= 1.0)) {
+        std::cerr << "liberty_fuzz: --feedback wants a probability in 0..1, "
+                     "got '" << v << "'\n";
+        return 2;
+      }
+      opt.fuzz.feedback_prob = p;
     } else if (a == "--no-arbiter") {
       opt.fuzz.use_arbiter = false;
     } else if (a == "--no-tee") {
@@ -197,8 +201,7 @@ int parse_args(int argc, char** argv, Options& opt) {
       opt.fuzz.use_ccl_traffic = false;
     } else if (a == "--opt-level") {
       std::uint64_t level = 0;
-      const char* v = next();
-      if (v == nullptr || !parse_u64(v, level) || level > 2) return 2;
+      if (!next_u64(level) || level > 2) return 2;
       opt.opt_level = static_cast<int>(level);
     } else if (a == "--print-spec") {
       opt.print_spec = true;
@@ -211,6 +214,12 @@ int parse_args(int argc, char** argv, Options& opt) {
       const char* v = next();
       if (v == nullptr || !parse_fault(v, fault)) {
         std::cerr << "liberty_fuzz: --inject-fault wants kind:cycle:conn\n";
+        return 2;
+      }
+      try {
+        liberty::resil::check_scheduler_restriction(fault.scheduler);
+      } catch (const std::exception& e) {
+        std::cerr << "liberty_fuzz: --inject-fault: " << e.what() << "\n";
         return 2;
       }
       if (opt.fault_plan == nullptr) {
@@ -240,8 +249,7 @@ int parse_args(int argc, char** argv, Options& opt) {
       opt.metrics_path = v;
       opt.oracle.profile = true;
     } else if (a == "--heartbeat") {
-      const char* v = next();
-      if (v == nullptr || !parse_u64(v, opt.heartbeat)) return 2;
+      if (!next_u64(opt.heartbeat)) return 2;
     } else {
       std::cerr << "liberty_fuzz: unknown option " << a << "\n" << kUsage;
       return 2;
@@ -469,9 +477,6 @@ int main(int argc, char** argv) {
     using liberty::testing::Candidate;
     opt.oracle.candidates = {
         Candidate{SchedulerKind::Static, 0},
-        Candidate{SchedulerKind::Parallel, 1},
-        Candidate{SchedulerKind::Parallel, 2},
-        Candidate{SchedulerKind::Parallel, 8},
         Candidate{SchedulerKind::Compiled, 0},
     };
     if (opt.opt_level > 0 && opt.fault_plan == nullptr) {
@@ -479,10 +484,6 @@ int main(int argc, char** argv) {
           Candidate{SchedulerKind::Dynamic, 0, opt.opt_level});
       opt.oracle.candidates.push_back(
           Candidate{SchedulerKind::Static, 0, opt.opt_level});
-      opt.oracle.candidates.push_back(
-          Candidate{SchedulerKind::Parallel, 2, opt.opt_level});
-      opt.oracle.candidates.push_back(
-          Candidate{SchedulerKind::Parallel, 8, opt.opt_level});
       opt.oracle.candidates.push_back(
           Candidate{SchedulerKind::Compiled, 0, opt.opt_level});
     }
