@@ -19,7 +19,6 @@
 
 #include "liberty/core/simulator.hpp"
 #include "liberty/gen/compiled_scheduler.hpp"
-#include "liberty/gen/native.hpp"
 #include "liberty/opt/optimizer.hpp"
 #include "liberty/resil/watchdog.hpp"
 #include "liberty/scenario/rack.hpp"
@@ -118,21 +117,11 @@ int main() {
     const char* label;
     core::SchedulerKind kind;
   };
-  std::vector<Cell> matrix = {
+  const std::vector<Cell> matrix = {
       {"dynamic", core::SchedulerKind::Dynamic},
       {"static", core::SchedulerKind::Static},
       {"compiled", core::SchedulerKind::Compiled},
   };
-  if (gen::native_available()) {
-    // Digest identity at macro scale is the point of this row: whatever
-    // the emitter declines inside the rack runs on the bytecode fallback
-    // of the same scheduler, and the trace/state digests must still match
-    // every other cell bit for bit.
-    matrix.push_back({"native", core::SchedulerKind::Native});
-  } else {
-    std::printf("(native codegen not built: configure with "
-                "-DLIBERTY_NATIVE_CODEGEN=ON for a native row)\n");
-  }
 
   FILE* out = std::fopen("BENCH_rack.json", "w");
   if (out == nullptr) {

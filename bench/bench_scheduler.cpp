@@ -23,12 +23,7 @@
 // kernel.opt.* counts.
 #include "bench_util.hpp"
 
-#include <cstdlib>
-#include <filesystem>
-#include <optional>
-
 #include "liberty/gen/compiled_scheduler.hpp"
-#include "liberty/gen/native.hpp"
 #include "liberty/opt/optimizer.hpp"
 
 using namespace liberty;
@@ -166,9 +161,6 @@ void build_burst_idle(core::Netlist& nl) {
 struct Result {
   double wall_s = 0.0;
   double kcps = 0.0;             // kcycles per wall second
-  double elab_s = 0.0;           // scheduler construction time
-  double elab_cold_s = 0.0;      // native: includes the toolchain compile
-  double elab_cached_s = 0.0;    // native: artifact-cache hit (dlopen only)
   std::uint64_t react_calls = 0;
   double reacts_per_cycle = 0.0;
   std::uint64_t transfers = 0;
@@ -184,18 +176,14 @@ Result run_once(void (*build)(core::Netlist&), const SchedulerSpec& spec,
     opt::optimize(nl, opt::OptOptions::for_level(opt_level));
   }
   Result r;
-  // Construction is timed separately from steady state: for the native
-  // backend this is where the C++ emission, host-compiler invocation (or
-  // cache hit) and dlopen happen.
-  std::optional<core::Simulator> sim;
-  r.elab_s = time_seconds([&] { sim.emplace(nl, spec.kind); });
-  r.wall_s = time_seconds([&] { sim->run(cycles); });
+  core::Simulator sim(nl, spec.kind);  // construction is not timed
+  r.wall_s = time_seconds([&] { sim.run(cycles); });
   r.kcps = static_cast<double>(cycles) / 1e3 / r.wall_s;
-  r.react_calls = sim->scheduler().react_calls();
+  r.react_calls = sim.scheduler().react_calls();
   r.reacts_per_cycle = static_cast<double>(r.react_calls) /
                        static_cast<double>(cycles);
   for (const auto& c : nl.connections()) r.transfers += c->transfer_count();
-  r.kernel = kernel_counters(sim->scheduler());
+  r.kernel = kernel_counters(sim.scheduler());
   return r;
 }
 
@@ -208,33 +196,11 @@ Result run(void (*build)(core::Netlist&), const SchedulerSpec& spec,
   // results are identical across repeats by the bit-identity guarantee, so
   // only the timing is folded; counters are reported from the first run
   // (the gate's wall-clock calibration may retire differently per repeat).
-  //
-  // For the native scheduler each (netlist, opt) pair gets a fresh
-  // artifact cache, so the first construction measures the cold path
-  // (emit + toolchain + dlopen) and the second the cache-hit path.
-  const bool is_native = spec.kind == core::SchedulerKind::Native;
-  std::string cache;
-  if (is_native) {
-    static int serial = 0;
-    char tmpl[] = "/tmp/liberty-bench-native-XXXXXX";
-    if (::mkdtemp(tmpl) != nullptr) {
-      cache = std::string(tmpl) + "/" + std::to_string(serial++);
-      gen::native_options().cache_dir = cache;
-    }
-  }
   Result best = run_once(build, spec, cycles, opt_level);
   const Result again = run_once(build, spec, cycles, opt_level);
   if (again.wall_s < best.wall_s) {
     best.wall_s = again.wall_s;
     best.kcps = again.kcps;
-  }
-  best.elab_cold_s = best.elab_s;
-  best.elab_cached_s = again.elab_s;
-  if (is_native && !cache.empty()) {
-    gen::native_options().cache_dir.clear();
-    std::error_code ec;
-    std::filesystem::remove_all(
-        std::filesystem::path(cache).parent_path(), ec);
   }
   return best;
 }
@@ -256,15 +222,6 @@ int main() {
   constexpr int kOptLevels[] = {0, 2};
   auto base_specs = scheduler_matrix();
   base_specs.push_back({"compiled", core::SchedulerKind::Compiled});
-  if (gen::native_available()) {
-    // The fourth backend: per-netlist C++ compiled on the host and
-    // dlopened; ineligible structures inside a netlist transparently run
-    // on the compiled-bytecode fallback of the same scheduler.
-    base_specs.push_back({"native", core::SchedulerKind::Native});
-  } else {
-    std::printf("(native codegen not built: configure with "
-                "-DLIBERTY_NATIVE_CODEGEN=ON for native rows)\n\n");
-  }
 
   FILE* json_file = std::fopen("BENCH_scheduler.json", "w");
   JsonWriter json(json_file);
@@ -298,13 +255,6 @@ int main() {
         json.field("react_calls", r.react_calls);
         json.field("reacts_per_cycle", r.reacts_per_cycle);
         json.field("transfers", r.transfers);
-        if (spec.kind == core::SchedulerKind::Native) {
-          // Elaboration cost, kept out of wall_s: cold includes emitting
-          // and compiling the per-netlist C++; cached re-elaborates the
-          // same netlist against a warm artifact cache (dlopen only).
-          json.field("native_compile_s", r.elab_cold_s);
-          json.field("native_elab_cached_s", r.elab_cached_s);
-        }
         emit_kernel_counters(json, r.kernel);
         json.end_object();
       }

@@ -4,18 +4,13 @@
 //     --cycles N          cycles to simulate                [10000]
 //     --param NAME=VALUE  override a top-level param (repeatable;
 //                         integers, reals, true/false, or strings)
-//     --scheduler dyn|static|compiled|native                [static]
+//     --scheduler dyn|static|compiled                       [static]
 //     --opt-level N       elaboration-time optimizer level 0..2 [2]
 //     --opt-report        print the optimizer's per-item report
 //     --dot FILE          write the netlist as Graphviz DOT and exit
 //                         (annotated with optimizer conclusions at -O1+)
 //     --dump-bytecode     print the compiled backend's lowered program
 //                         (docs/codegen.md) and exit
-//     --codegen-cache-dir DIR  artifact cache for --scheduler native
-//                         (default: LIBERTY_NATIVE_CACHE_DIR or the
-//                         system temp directory)
-//     --dump-native-src FILE  also write the native backend's generated
-//                         C++ translation unit to FILE
 //     --vcd FILE          also record a VCD transfer waveform
 //     --profile FILE      write a Chrome trace-event JSON profile
 //                         (load in Perfetto / chrome://tracing)
@@ -50,7 +45,8 @@
 //                         recovery harness aid)
 //
 // Options also accept --flag=value spelling.  Numeric values must be
-// unsigned decimal integers; anything else is a usage error (exit 2).
+// unsigned decimal integers, --param needs a nonempty NAME, and --faults a
+// plan that loads; anything else is a usage error (exit 2).
 //
 // This is the Figure-1 pipeline end to end: specification in, executable
 // simulator out, with the full component catalog available — plus the
@@ -69,7 +65,6 @@
 #include "liberty/core/simulator.hpp"
 #include "liberty/core/vcd.hpp"
 #include "liberty/gen/compiled_scheduler.hpp"
-#include "liberty/gen/native.hpp"
 #include "liberty/mpl/mpl.hpp"
 #include "liberty/nil/nil.hpp"
 #include "liberty/obs/metrics.hpp"
@@ -111,10 +106,9 @@ liberty::Value parse_value(const std::string& text) {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s SPEC.lss [--cycles N] [--param NAME=VALUE]...\n"
-               "       [--scheduler dyn|static|compiled|native]\n"
+               "       [--scheduler dyn|static|compiled]\n"
                "       [--opt-level N] [--opt-report]\n"
                "       [--dot FILE] [--dump-bytecode]\n"
-               "       [--codegen-cache-dir DIR] [--dump-native-src FILE]\n"
                "       [--vcd FILE] [--profile FILE]\n"
                "       [--metrics FILE] [--metrics-csv FILE]\n"
                "       [--heartbeat N] [--quiet]\n"
@@ -190,7 +184,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--param") {
       const std::string kv = next();
       const auto eq = kv.find('=');
-      if (eq == std::string::npos) return usage(argv[0]);
+      if (eq == std::string::npos || eq == 0) return usage(argv[0]);
       overrides[kv.substr(0, eq)] = parse_value(kv.substr(eq + 1));
     } else if (arg == "--scheduler") {
       try {
@@ -209,10 +203,6 @@ int main(int argc, char** argv) {
       dot_path = next();
     } else if (arg == "--dump-bytecode") {
       dump_bytecode = true;
-    } else if (arg == "--codegen-cache-dir") {
-      liberty::gen::native_options().cache_dir = next();
-    } else if (arg == "--dump-native-src") {
-      liberty::gen::native_options().dump_source_path = next();
     } else if (arg == "--vcd") {
       vcd_path = next();
     } else if (arg == "--profile") {
@@ -257,6 +247,19 @@ int main(int argc, char** argv) {
                  "error: --resume/--kill-at require --checkpoint-dir\n");
     return 2;
   }
+  // A fault plan that does not load is a usage error, reported before any
+  // elaboration.  The injector must outlive the simulator (the scheduler's
+  // destructor clears the per-connection hooks).
+  std::unique_ptr<liberty::resil::FaultInjector> injector;
+  if (!faults_path.empty()) {
+    try {
+      injector = std::make_unique<liberty::resil::FaultInjector>(
+          liberty::resil::FaultPlan::load(faults_path));
+    } catch (const liberty::Error& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
+  }
 
   liberty::core::ModuleRegistry registry;
   liberty::pcl::register_pcl(registry);
@@ -295,13 +298,6 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // Resilience wiring.  The injector must outlive the simulator (the
-    // scheduler's destructor clears the per-connection hooks).
-    std::unique_ptr<liberty::resil::FaultInjector> injector;
-    if (!faults_path.empty()) {
-      injector = std::make_unique<liberty::resil::FaultInjector>(
-          liberty::resil::FaultPlan::load(faults_path));
-    }
     liberty::resil::Watchdog watchdog;
 
     // Divergence detection needs a fault-free reference trace.  LSS
@@ -380,7 +376,6 @@ int main(int argc, char** argv) {
         }
         if (want_watchdog) watchdog.export_metrics(reg);
         if (dsup != nullptr) dsup->export_metrics(reg);
-        liberty::gen::export_native_metrics(reg);
         liberty::obs::RunMeta meta;
         meta.tool = "lss_run";
         meta.spec = spec_path;
@@ -498,7 +493,6 @@ int main(int argc, char** argv) {
       reg.collect_scheduler(sim.scheduler());
       reg.collect_profile(profiler, &netlist);
       if (want_watchdog) watchdog.export_metrics(reg);
-      liberty::gen::export_native_metrics(reg);
       liberty::obs::RunMeta meta;
       meta.tool = "lss_run";
       meta.spec = spec_path;

@@ -14,7 +14,7 @@
 //     --seed N              synthetic workload seed             [1]
 //     --requests N          synthetic requests per node         [4]
 //     --cycles N            cycles to simulate                  [20000]
-//     --scheduler dyn|static|compiled|native                    [static]
+//     --scheduler dyn|static|compiled                           [static]
 //     --opt-level N         elaboration-time optimizer 0..2     [2]
 //     --metrics FILE        liberty.metrics JSON (module stats +
 //                           scheduler counters + rack.* aggregates)
@@ -53,7 +53,6 @@
 
 #include "liberty/core/simulator.hpp"
 #include "liberty/gen/compiled_scheduler.hpp"
-#include "liberty/gen/native.hpp"
 #include "liberty/obs/metrics.hpp"
 #include "liberty/opt/optimizer.hpp"
 #include "liberty/resil/durable.hpp"
@@ -71,7 +70,7 @@ int usage(const char* argv0) {
       "usage: %s [--cols N] [--rows N] [--cores N] [--no-ooo]\n"
       "       [--ordering sc|tso] [--vcs N] [--link-latency N] [--iters N]\n"
       "       [--trace FILE] [--seed N] [--requests N] [--cycles N]\n"
-      "       [--scheduler dyn|static|compiled|native]\n"
+      "       [--scheduler dyn|static|compiled]\n"
       "       [--opt-level N] [--metrics FILE] [--metrics-csv FILE]\n"
       "       [--digest] [--records] [--print-spec] [--quiet]\n"
       "       [--checkpoint-dir DIR] [--checkpoint-every N]\n"
@@ -347,7 +346,6 @@ int main(int argc, char** argv) {
           sup != nullptr ? sup->simulator() : sim_owner.get();
       if (live_sim != nullptr) reg.collect_scheduler(live_sim->scheduler());
       if (sup != nullptr) sup->export_metrics(reg);
-      liberty::gen::export_native_metrics(reg);
       reg.add_counter("rack.requests_injected", injected);
       reg.add_counter("rack.requests_completed", latencies.size());
       reg.add_scalar("rack.throughput_rpkc", throughput);

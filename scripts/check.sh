@@ -5,10 +5,6 @@
 #   scripts/check.sh            # release + asan-ubsan
 #   scripts/check.sh --quick    # release only, skipping the `fuzz` label
 #
-# LIBERTY_NATIVE=1 configures the release build with the native codegen
-# backend (-DLIBERTY_NATIVE_CODEGEN=ON) so the native smoke and the
-# native test battery run instead of skipping.
-#
 # Exits non-zero on the first failing build or test.
 set -euo pipefail
 
@@ -25,12 +21,7 @@ done
 jobs="$(nproc 2>/dev/null || echo 2)"
 
 echo "=== release build ==="
-native_flags=()
-if [ "${LIBERTY_NATIVE:-0}" = "1" ]; then
-  native_flags=(-DLIBERTY_NATIVE_CODEGEN=ON)
-fi
-cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  "${native_flags[@]}" >/dev/null
+cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build -j "$jobs"
 
 # Observability smoke: a profiled run must produce parseable artifacts of
@@ -97,36 +88,6 @@ done
 ./build/examples/lss_run examples/specs/funnel.lss --dump-bytecode \
   | grep -q '== resolve ('
 echo "compiled digests identical on $(ls examples/specs/*.lss | wc -l) specs"
-
-# Native-codegen smoke: when the build carries the native backend, every
-# example spec must land on the dynamic scheduler's digest under
-# --scheduler native (whatever the emitter declines runs on the bytecode
-# fallback, so the digest must match regardless), and --dump-native-src
-# must write a translation unit for an eligible netlist.
-echo "=== native vs dynamic digest ==="
-if grep -q 'LIBERTY_NATIVE_CODEGEN:BOOL=ON' build/CMakeCache.txt; then
-  export LIBERTY_NATIVE_CACHE_DIR="$smoke_dir/native-cache"
-  for spec in examples/specs/*.lss; do
-    dyn="$(./build/examples/lss_run "$spec" --cycles 500 --scheduler dyn \
-      --digest --quiet | grep '^digest:')"
-    nat="$(./build/examples/lss_run "$spec" --cycles 500 --scheduler native \
-      --digest --quiet | grep '^digest:')"
-    if [ "$dyn" != "$nat" ]; then
-      echo "native scheduler diverged on $spec" >&2
-      echo "  dynamic: $dyn" >&2
-      echo "  native:  $nat" >&2
-      exit 1
-    fi
-  done
-  ./build/examples/lss_run examples/specs/pipeline.lss --cycles 10 \
-    --scheduler native --dump-native-src "$smoke_dir/native.cpp" --quiet \
-    >/dev/null
-  grep -q 'ln_start' "$smoke_dir/native.cpp"
-  unset LIBERTY_NATIVE_CACHE_DIR
-  echo "native digests identical on $(ls examples/specs/*.lss | wc -l) specs"
-else
-  echo "skipped: build has LIBERTY_NATIVE_CODEGEN=OFF (set LIBERTY_NATIVE=1)"
-fi
 
 # Resilience smoke: inject -> detect -> roll back -> finish bit-identical
 # (docs/resilience.md).  A drop_ack fault on the funnel's sink feed must be

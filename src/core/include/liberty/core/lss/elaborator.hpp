@@ -31,7 +31,9 @@ class Elaborator {
 
   /// Elaborate `spec` into `netlist`.  `overrides` replaces the default
   /// values of top-level `param` declarations (the host program's knob for
-  /// sweeping a specification).  The netlist is left un-finalized so the
+  /// sweeping a specification).  An override whose name matches no
+  /// top-level `param` throws ElaborationError naming it and listing the
+  /// spec's top-level params.  The netlist is left un-finalized so the
   /// caller may add instrumentation before finalize().
   void elaborate(const Spec& spec, Netlist& netlist,
                  const std::map<std::string, liberty::Value>& overrides = {});

@@ -8,7 +8,7 @@
 // channels to "refuses") — this is what lets partial specifications simulate.
 //
 // Two interchangeable schedulers here compute that fixed point (liberty_gen
-// adds the compiled and native backends, which run the static schedule):
+// adds the compiled bytecode backend, which runs the static schedule):
 //
 //  * DynamicScheduler — event-driven worklist.  Whenever a channel resolves,
 //    the module observing it is re-activated.  No knowledge of module
@@ -306,9 +306,8 @@ inline constexpr std::uint64_t kDefaultIterationCap = 1'000'000;
 
 /// True when liberty_core was compiled with LIBERTY_CHECKED_KERNEL (the
 /// full per-connection end-of-cycle audit).  The macro is private to the
-/// core library, so out-of-tree backends that publish channel state lazily
-/// (native codegen) query this to decide whether every connection object
-/// must be driven for real each cycle.
+/// core library; code outside it (build fingerprints, reports) reads the
+/// build's setting through this.
 [[nodiscard]] bool checked_kernel_enabled() noexcept;
 
 class SchedulerBase : public ResolveHooks {
@@ -404,19 +403,6 @@ class SchedulerBase : public ResolveHooks {
   /// The optimizer plan captured from the netlist at construction (null
   /// when simulating as written).
   [[nodiscard]] const OptPlan* opt_plan() const noexcept { return plan_; }
-
-  /// State-authority seams for backends that execute some modules outside
-  /// their C++ objects (the native codegen backend keeps POD images and
-  /// shadow statistics in a dlopened object).  sync_module_state() writes
-  /// the backend's authoritative state and statistics back into the module
-  /// objects; Simulator calls it before taking a snapshot and after run()
-  /// so save_state/stats dumps always describe the real simulation state.
-  /// reimport_module_state() is the inverse: after Simulator::restore has
-  /// rewritten the module objects, the backend reloads its images from
-  /// them.  In-object backends (all four interpreters) need neither; the
-  /// defaults are no-ops.
-  virtual void sync_module_state() {}
-  virtual void reimport_module_state() {}
 
  protected:
   virtual void resolve_cycle() = 0;

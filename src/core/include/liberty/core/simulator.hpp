@@ -18,14 +18,13 @@
 
 namespace liberty::core {
 
-enum class SchedulerKind { Dynamic, Static, Compiled, Native };
+enum class SchedulerKind { Dynamic, Static, Compiled };
 
 inline constexpr SchedulerKind kSchedulerKinds[] = {
-    SchedulerKind::Dynamic, SchedulerKind::Static, SchedulerKind::Compiled,
-    SchedulerKind::Native};
+    SchedulerKind::Dynamic, SchedulerKind::Static, SchedulerKind::Compiled};
 
 /// The name a scheduler of this kind reports through kind_name():
-/// "dynamic", "static", "compiled" or "native".
+/// "dynamic", "static" or "compiled".
 [[nodiscard]] std::string_view scheduler_kind_name(SchedulerKind kind) noexcept;
 
 /// A between-cycles image of one simulator: the cycle counter, the stop
@@ -47,29 +46,22 @@ struct KernelSnapshot {
   }
 };
 
-/// Parse a scheduler name ("dyn"/"dynamic", "static", "comp"/"compiled",
-/// "native"); throws ElaborationError naming the valid
-/// spellings on anything else.  Shared by lss_run, bench_util and any
-/// other front end exposing the scheduler knob.
+/// Parse a scheduler name ("dyn"/"dynamic", "static", "comp"/"compiled");
+/// throws ElaborationError naming the valid spellings on anything else.
+/// Shared by lss_run, bench_util and any other front end exposing the
+/// scheduler knob.
 [[nodiscard]] SchedulerKind scheduler_kind_from_name(std::string_view name);
 
-/// Factory seams for SchedulerKind::Compiled and SchedulerKind::Native:
-/// the core library cannot depend on liberty_gen (gen depends on the
-/// component libraries, which depend on core), so the gen library
-/// registers its scheduler constructors here and Simulator looks them up.
-/// Front ends that want either backend link liberty_gen and call
-/// liberty::gen::ensure_registered() before constructing simulators.  The
-/// native factory is registered only when the build carries
-/// LIBERTY_NATIVE_CODEGEN; SchedulerKind::Native with no native factory
-/// degrades to the compiled factory with a one-time stderr notice.
+/// Factory seam for SchedulerKind::Compiled: the core library cannot
+/// depend on liberty_gen (gen depends on the component libraries, which
+/// depend on core), so the gen library registers its scheduler
+/// constructor here and Simulator looks it up.
+/// Front ends that want the compiled backend link liberty_gen and call
+/// liberty::gen::ensure_registered() before constructing simulators.
 using CompiledSchedulerFactory =
     std::unique_ptr<SchedulerBase> (*)(Netlist& netlist);
 void set_compiled_scheduler_factory(CompiledSchedulerFactory factory);
 [[nodiscard]] CompiledSchedulerFactory compiled_scheduler_factory();
-using NativeSchedulerFactory =
-    std::unique_ptr<SchedulerBase> (*)(Netlist& netlist);
-void set_native_scheduler_factory(NativeSchedulerFactory factory);
-[[nodiscard]] NativeSchedulerFactory native_scheduler_factory();
 
 class Simulator {
  public:
@@ -98,10 +90,6 @@ class Simulator {
       step();
       ++executed;
     }
-    // A backend holding module state outside the module objects (native
-    // codegen) publishes it now, so post-run stats dumps and save_state
-    // describe the simulation that actually ran.
-    sched_->sync_module_state();
     return executed;
   }
 

@@ -82,7 +82,7 @@ template <typename T, std::size_t I = 0>
 }  // namespace detail
 
 /// Receives a module's save_state slots.  A default-constructed writer
-/// stores them (snapshots, checkpoints, native state sync).  A writer built
+/// stores them (snapshots and checkpoints).  A writer built
 /// with StateWriter::digest_only stores nothing: each put folds its slot
 /// into a running FNV-1a digest on the spot, exactly as digest_value would
 /// fold the equivalent Value, and digest() folds the slot count last.  That

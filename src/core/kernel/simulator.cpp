@@ -1,6 +1,5 @@
 #include "liberty/core/simulator.hpp"
 
-#include <cstdio>
 #include <string>
 
 #include "liberty/support/error.hpp"
@@ -11,10 +10,9 @@ SchedulerKind scheduler_kind_from_name(std::string_view name) {
   if (name == "dyn" || name == "dynamic") return SchedulerKind::Dynamic;
   if (name == "static") return SchedulerKind::Static;
   if (name == "comp" || name == "compiled") return SchedulerKind::Compiled;
-  if (name == "native") return SchedulerKind::Native;
   throw liberty::ElaborationError(
       "unknown scheduler kind '" + std::string(name) +
-      "' (valid: dyn|dynamic, static, comp|compiled, native)");
+      "' (valid: dyn|dynamic, static, comp|compiled)");
 }
 
 std::string_view scheduler_kind_name(SchedulerKind kind) noexcept {
@@ -22,14 +20,12 @@ std::string_view scheduler_kind_name(SchedulerKind kind) noexcept {
     case SchedulerKind::Dynamic: return "dynamic";
     case SchedulerKind::Static: return "static";
     case SchedulerKind::Compiled: return "compiled";
-    case SchedulerKind::Native: return "native";
   }
   return "?";
 }
 
 namespace {
 CompiledSchedulerFactory g_compiled_factory = nullptr;
-NativeSchedulerFactory g_native_factory = nullptr;
 }  // namespace
 
 void set_compiled_scheduler_factory(CompiledSchedulerFactory factory) {
@@ -38,14 +34,6 @@ void set_compiled_scheduler_factory(CompiledSchedulerFactory factory) {
 
 CompiledSchedulerFactory compiled_scheduler_factory() {
   return g_compiled_factory;
-}
-
-void set_native_scheduler_factory(NativeSchedulerFactory factory) {
-  g_native_factory = factory;
-}
-
-NativeSchedulerFactory native_scheduler_factory() {
-  return g_native_factory;
 }
 
 Simulator::Simulator(Netlist& netlist, SchedulerKind kind)
@@ -66,39 +54,10 @@ Simulator::Simulator(Netlist& netlist, SchedulerKind kind)
       }
       sched_ = g_compiled_factory(netlist);
       break;
-    case SchedulerKind::Native:
-      if (g_native_factory != nullptr) {
-        sched_ = g_native_factory(netlist);
-        break;
-      }
-      // Graceful degradation: a build without LIBERTY_NATIVE_CODEGEN still
-      // accepts --scheduler native and runs the (bit-identical) compiled
-      // bytecode backend, announcing the substitution once per process.
-      if (g_compiled_factory == nullptr) {
-        throw liberty::ElaborationError(
-            "native scheduler requested but no backend is registered: "
-            "link liberty_gen and call liberty::gen::ensure_registered() "
-            "before constructing the Simulator");
-      }
-      {
-        static const bool noticed = [] {
-          std::fprintf(stderr,
-                       "liberty: native codegen not built in "
-                       "(LIBERTY_NATIVE_CODEGEN=OFF); --scheduler native "
-                       "runs the compiled bytecode backend\n");
-          return true;
-        }();
-        (void)noticed;
-        sched_ = g_compiled_factory(netlist);
-      }
-      break;
   }
 }
 
 KernelSnapshot Simulator::snapshot() const {
-  // Backends holding module state outside the module objects (native
-  // codegen) publish it first so save_state serializes the real state.
-  sched_->sync_module_state();
   KernelSnapshot snap;
   snap.cycle = now_;
   snap.stop_requested = netlist_.stop_requested();
@@ -112,7 +71,6 @@ KernelSnapshot Simulator::snapshot() const {
 }
 
 std::uint64_t Simulator::state_digest() const {
-  sched_->sync_module_state();
   // The fold of KernelSnapshot::digest(), one module at a time.
   std::uint64_t h = kFnv1aInit;
   for (const auto& m : netlist_.modules()) {
@@ -147,10 +105,6 @@ void Simulator::restore(const KernelSnapshot& snap) {
   // recover_after_abort() wipes all of it; between clean cycles it is a
   // no-op re-initialization.
   scheduler().recover_after_abort();
-  // The module objects now hold the restored state; a backend with
-  // out-of-object module state (native codegen) reloads its images from
-  // them.
-  scheduler().reimport_module_state();
 }
 
 void Simulator::trace_transfers(std::ostream& os) {

@@ -5,6 +5,7 @@
 
 #include "liberty/core/lss/parser.hpp"
 #include "liberty/support/error.hpp"
+#include "liberty/support/strings.hpp"
 
 namespace liberty::core::lss {
 
@@ -189,6 +190,20 @@ class ElabContext {
                /*top_level=*/true);
     env_.pop();
     apply_connects();
+    // An override only takes effect through a top-level param of that
+    // name; one that matched none would silently run the default model.
+    for (const auto& [name, value] : overrides) {
+      if (top_params_.count(name) == 0) {
+        throw liberty::ElaborationError(
+            "parameter override '" + name +
+            "' names no top-level param of the spec (top-level params: " +
+            (top_params_.empty() ? std::string("none")
+                                 : liberty::join({top_params_.begin(),
+                                                  top_params_.end()},
+                                                 ", ")) +
+            ")");
+      }
+    }
   }
 
  private:
@@ -215,6 +230,7 @@ class ElabContext {
     switch (s.kind) {
       case Stmt::Kind::Param: {
         liberty::Value v;
+        if (top_level) top_params_.insert(s.param.name);
         if (top_level && overrides_->count(s.param.name) != 0) {
           v = overrides_->at(s.param.name);
         } else {
@@ -488,6 +504,7 @@ class ElabContext {
   const ModuleRegistry& registry_;
   Netlist& netlist_;
   const std::map<std::string, liberty::Value>* overrides_ = nullptr;
+  std::set<std::string> top_params_;  // top-level params elaborated
   Env env_;
   std::map<std::string, const ModuleDef*> modules_;
   std::map<std::string, std::string> aliases_;

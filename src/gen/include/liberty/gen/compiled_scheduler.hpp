@@ -25,7 +25,7 @@
 
 namespace liberty::gen {
 
-class CompiledScheduler : public liberty::core::AnalyzedScheduler {
+class CompiledScheduler final : public liberty::core::AnalyzedScheduler {
  public:
   explicit CompiledScheduler(liberty::core::Netlist& netlist);
 
@@ -41,7 +41,7 @@ class CompiledScheduler : public liberty::core::AnalyzedScheduler {
 
   void visit_counters(const CounterVisitor& visit) const override;
 
- protected:
+ private:
   void start_phase() override;
   void resolve_cycle() override;
   void update_phase(std::uint64_t eoc_token) override;
@@ -51,15 +51,6 @@ class CompiledScheduler : public liberty::core::AnalyzedScheduler {
 
   Program program_;
   std::uint64_t eoc_token_ = 0;  // latched for the commit tape's EndGated
-
-  // Exclusion masks consulted by lower(): modules (by ModuleId) and SCCs
-  // (by schedule-graph SCC index) a derived backend executes itself, so
-  // the tapes must not touch them.  Empty (the default, and always for
-  // this class) means lower everything.  The native backend fills both
-  // after compiling its image and re-lowers; the tapes then carry only the
-  // residue it cannot execute natively.
-  std::vector<char> native_module_;
-  std::vector<char> native_scc_;
 
   // True when the current tapes carry gate forms (TrySleep / StartGated /
   // EndGated).  When the gate's measured cost-model guard later turns the

@@ -17,7 +17,6 @@
 #include "liberty/core/netlist.hpp"
 #include "liberty/core/simulator.hpp"
 #include "liberty/gen/compiled_scheduler.hpp"
-#include "liberty/gen/native.hpp"
 
 namespace liberty::gen {
 
@@ -44,16 +43,9 @@ void CompiledScheduler::lower() {
     kinds[m->id()] = classify(*m);
   }
 
-  // Modules and SCCs the native image executes are simply absent from the
-  // tapes (empty masks — the common case — exclude nothing).
-  const auto native_mod = [&](core::ModuleId id) {
-    return !native_module_.empty() && native_module_[id] != 0;
-  };
-
   // --- start tape: one instruction per module with a live cycle_start ----
   for (core::Module* m : module_tape_) {
     const auto id = static_cast<std::uint32_t>(m->id());
-    if (native_mod(m->id())) continue;
     if (module_quarantined(m->id())) continue;
     if (opt && plan_->elided[m->id()] != 0) continue;
     const Kind k = kinds[m->id()];
@@ -136,7 +128,6 @@ void CompiledScheduler::lower() {
   };
 
   for (std::uint32_t i = 0; i < sccs.size(); ++i) {
-    if (!native_scc_.empty() && native_scc_[i] != 0) continue;
     std::size_t guard = program_.resolve.size();
     bool guarded = false;
     if (gate_.is_candidate(i)) {
@@ -167,7 +158,6 @@ void CompiledScheduler::lower() {
   // --- commit tape: one instruction per module with a live end_of_cycle --
   for (core::Module* m : module_tape_) {
     const auto id = static_cast<std::uint32_t>(m->id());
-    if (native_mod(m->id())) continue;
     if (module_quarantined(m->id())) continue;
     if (opt && plan_->elided[m->id()] != 0) continue;
     const Kind k = kinds[m->id()];
@@ -203,9 +193,6 @@ void ensure_registered() {
       [](core::Netlist& netlist) -> std::unique_ptr<core::SchedulerBase> {
         return std::make_unique<CompiledScheduler>(netlist);
       });
-  // No-op unless the build carries LIBERTY_NATIVE_CODEGEN; then it
-  // installs the native factory the same way (see native.hpp).
-  register_native_scheduler();
 }
 
 }  // namespace liberty::gen

@@ -33,8 +33,6 @@ class Delay : public liberty::core::Module {
   [[nodiscard]] std::size_t in_flight() const noexcept {
     return items_.size();
   }
-  [[nodiscard]] std::uint64_t latency() const noexcept { return latency_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
   struct Entry {

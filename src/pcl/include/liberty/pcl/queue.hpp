@@ -34,9 +34,7 @@ class Queue : public liberty::core::Module {
   void load_state(liberty::core::StateReader& r) override;
 
   [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
-  [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
   [[nodiscard]] bool empty() const noexcept { return items_.empty(); }
-  [[nodiscard]] bool bypass_ack() const noexcept { return bypass_ack_; }
 
  private:
   liberty::core::Port& in_;

@@ -36,12 +36,6 @@ class Sink : public liberty::core::Module {
   void set_consume_hook(ConsumeHook hook) { hook_ = std::move(hook); }
 
   [[nodiscard]] std::uint64_t consumed() const noexcept { return consumed_; }
-  [[nodiscard]] std::uint64_t stop_after() const noexcept {
-    return stop_after_;
-  }
-  [[nodiscard]] bool has_consume_hook() const noexcept {
-    return static_cast<bool>(hook_);
-  }
 
  private:
   liberty::core::Port& in_;

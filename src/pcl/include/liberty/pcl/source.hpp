@@ -45,18 +45,6 @@ class Source : public liberty::core::Module {
 
   [[nodiscard]] std::uint64_t emitted() const noexcept { return emitted_; }
 
-  // Parameter introspection (native codegen eligibility analysis).
-  [[nodiscard]] const std::string& value_kind() const noexcept {
-    return kind_;
-  }
-  [[nodiscard]] std::uint64_t period() const noexcept { return period_; }
-  [[nodiscard]] std::uint64_t start_cycle() const noexcept { return start_; }
-  [[nodiscard]] std::uint64_t count_limit() const noexcept { return count_; }
-  [[nodiscard]] std::size_t backlog_capacity() const noexcept {
-    return queue_depth_;
-  }
-  [[nodiscard]] bool stamps() const noexcept { return stamp_; }
-
  protected:
   /// Hook for subclasses: the value for the seq-th generated item.
   [[nodiscard]] virtual liberty::Value make_value(std::uint64_t seq);

@@ -51,7 +51,7 @@ void check_scheduler_restriction(std::string_view name) {
     if (core::scheduler_kind_name(kind) == name) return;
   }
   throw liberty::Error("fault plan: unknown scheduler '" + std::string(name) +
-                       "' (expected dynamic|static|compiled|native)");
+                       "' (expected dynamic|static|compiled)");
 }
 
 std::string FaultSpec::describe() const {

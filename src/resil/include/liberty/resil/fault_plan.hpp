@@ -77,7 +77,7 @@ inline constexpr std::size_t kFaultClassCount = 8;
 }
 
 /// Throws liberty::Error unless `name` is empty or the kind_name() of a
-/// scheduler (dynamic, static, compiled, native): a spec restricted to any
+/// scheduler (dynamic, static, compiled): a spec restricted to any
 /// other name would silently match no scheduler and inject nothing.
 void check_scheduler_restriction(std::string_view name);
 

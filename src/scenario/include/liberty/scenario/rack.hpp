@@ -2,7 +2,7 @@
 //
 // rack_netspec() composes every library in the repository into one
 // parameterized simulated rack, expressed as a testing::NetSpec so the
-// identical system elaborates under all four schedulers, snapshots,
+// identical system elaborates under every scheduler, snapshots,
 // bisects, and fuzzes like any other differential-test target:
 //
 //   * per node: a trace-driven host (TraceSource/TraceSink + a
@@ -59,7 +59,9 @@ struct RackConfig {
 };
 
 /// The rack as a rebuildable spec.  Throws ElaborationError on a bad
-/// config (fewer than 2 nodes, unknown ordering mode, ...).
+/// config (fewer than 2 nodes, a cols * rows that overflows, nodes x cores
+/// or nodes x requests_per_node above core::lss::kMaxElaborationSteps,
+/// unknown ordering mode, ...) before it allocates anything.
 [[nodiscard]] liberty::testing::NetSpec rack_netspec(const RackConfig& cfg);
 
 /// The LRISC read-modify-write worker run by the compute planes; exposed

@@ -1,12 +1,14 @@
 #include "liberty/scenario/rack.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
 
 #include "liberty/ccl/ccl.hpp"
 #include "liberty/ccl/router.hpp"
+#include "liberty/core/lss/parser.hpp"
 #include "liberty/core/registry.hpp"
 #include "liberty/mpl/mpl.hpp"
 #include "liberty/nil/nic.hpp"
@@ -64,7 +66,29 @@ std::string worker_program(std::size_t node, std::size_t core,
 }
 
 NetSpec rack_netspec(const RackConfig& cfg) {
+  // The shape is checked before anything is sized from it.  A wrapped
+  // cols * rows would pass the node-count check while the mesh loops run
+  // over the unwrapped dimensions, and the per-node core planes and
+  // synthetic requests are held to the LSS elaboration budget.
+  using liberty::core::lss::kMaxElaborationSteps;
+  if (cfg.mesh_rows != 0 &&
+      cfg.mesh_cols > std::numeric_limits<std::size_t>::max() /
+                          cfg.mesh_rows) {
+    throw liberty::ElaborationError(
+        "scenario.rack: mesh_cols * mesh_rows (" +
+        std::to_string(cfg.mesh_cols) + " * " +
+        std::to_string(cfg.mesh_rows) + ") overflows");
+  }
   const std::size_t nodes = cfg.nodes();
+  const auto within_budget = [&](std::size_t per_node, const char* what) {
+    if (per_node > kMaxElaborationSteps / nodes) {
+      throw liberty::ElaborationError(
+          "scenario.rack: " + std::to_string(nodes) + " nodes x " +
+          std::to_string(per_node) + " " + what +
+          " per node exceeds the elaboration budget of " +
+          std::to_string(kMaxElaborationSteps));
+    }
+  };
   if (nodes < 2) {
     throw liberty::ElaborationError(
         "scenario.rack: need at least 2 nodes (mesh_cols * mesh_rows)");
@@ -72,6 +96,8 @@ NetSpec rack_netspec(const RackConfig& cfg) {
   if (cfg.cores == 0) {
     throw liberty::ElaborationError("scenario.rack: cores must be >= 1");
   }
+  within_budget(cfg.cores, "cores");
+  within_budget(cfg.requests_per_node, "requests");
   if (cfg.ordering != "sc" && cfg.ordering != "tso") {
     throw liberty::ElaborationError("scenario.rack: unknown ordering '" +
                                     cfg.ordering + "'");

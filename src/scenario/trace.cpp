@@ -5,6 +5,7 @@
 
 #include "liberty/support/error.hpp"
 #include "liberty/support/rng.hpp"
+#include "liberty/support/strings.hpp"
 
 namespace liberty::scenario {
 
@@ -66,21 +67,35 @@ std::vector<TraceRequest> parse_trace(const std::string& text) {
     std::istringstream ls(line);
     std::string word;
     if (!(ls >> word)) continue;  // blank / comment-only line
-    if (word != "req") {
-      throw liberty::ElaborationError("scenario.trace: line " +
-                                      std::to_string(lineno) +
-                                      ": expected 'req', got '" + word + "'");
+    const auto fail = [&](const std::string& what) {
+      return liberty::ElaborationError("scenario.trace: line " +
+                                       std::to_string(lineno) + ": " + what);
+    };
+    if (word != "req") throw fail("expected 'req', got '" + word + "'");
+    // Each field is a strict unsigned decimal: istream >> into an unsigned
+    // type would wrap "-1" and stop silently at "4.9" or "4junk".
+    std::uint64_t field[4] = {};
+    static constexpr const char* kFieldNames[4] = {"cycle", "src", "dst",
+                                                   "words"};
+    for (int f = 0; f < 4; ++f) {
+      if (!(ls >> word)) {
+        throw fail("expected 'req <cycle> <src> <dst> <words>'");
+      }
+      if (!liberty::parse_u64(word, field[f])) {
+        throw fail(std::string("<") + kFieldNames[f] + "> '" + word +
+                   "' is not an unsigned 64-bit decimal");
+      }
+    }
+    if (ls >> word) {
+      throw fail("unexpected '" + word + "' after <words>");
     }
     TraceRequest r;
-    if (!(ls >> r.cycle >> r.src >> r.dst >> r.words)) {
-      throw liberty::ElaborationError(
-          "scenario.trace: line " + std::to_string(lineno) +
-          ": expected 'req <cycle> <src> <dst> <words>'");
-    }
+    r.cycle = field[0];
+    r.src = static_cast<std::size_t>(field[1]);
+    r.dst = static_cast<std::size_t>(field[2]);
+    r.words = static_cast<std::size_t>(field[3]);
     if (r.words < 2) {
-      throw liberty::ElaborationError(
-          "scenario.trace: line " + std::to_string(lineno) +
-          ": payloads carry an id and a birth cycle, so words >= 2");
+      throw fail("payloads carry an id and a birth cycle, so words >= 2");
     }
     r.id = reqs.size();
     reqs.push_back(r);

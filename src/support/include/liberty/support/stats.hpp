@@ -43,20 +43,6 @@ class Accumulator {
   [[nodiscard]] double max() const noexcept { return count_ == 0 ? 0.0 : max_; }
   void reset() noexcept { *this = Accumulator(); }
 
-  /// Fold a sub-aggregate into this accumulator, exactly as if its samples
-  /// had been add()ed here one by one.  Backends that keep shadow
-  /// statistics outside the module objects (native codegen) flush through
-  /// this at synchronization points; for integer-valued samples — every
-  /// accumulator the stock components keep — the partial double sums are
-  /// exact, so merging is bit-identical to direct accumulation.
-  void merge(std::uint64_t count, double sum, double mn, double mx) noexcept {
-    if (count == 0) return;
-    min_ = count_ == 0 ? mn : std::min(min_, mn);
-    max_ = count_ == 0 ? mx : std::max(max_, mx);
-    count_ += count;
-    sum_ += sum;
-  }
-
  private:
   std::uint64_t count_ = 0;
   double sum_ = 0.0;

@@ -1,9 +1,8 @@
 // Differential oracle: prove N schedulers bit-identical on one netlist.
 //
 // The reference (dynamic -O0) scheduler defines the semantics; every
-// candidate (by default static, compiled -O0/-O2, and native -O0/-O2 when
-// built in) must match it exactly.  The
-// oracle runs in two phases:
+// candidate (by default static and compiled -O0/-O2) must match it
+// exactly.  The oracle runs in two phases:
 //
 //   1. Coarse, streaming: each simulator runs the full cycle budget alone.
 //      At every `snapshot_every`-cycle window boundary it folds the
@@ -54,8 +53,7 @@ struct Candidate {
 
 struct OracleConfig {
   /// Candidates checked against the dynamic reference.  Empty selects the
-  /// default battery: static, compiled -O0 and -O2, plus native -O0 and
-  /// -O2 when LIBERTY_NATIVE_CODEGEN is built in.
+  /// default battery: static, compiled -O0 and compiled -O2.
   std::vector<Candidate> candidates;
   /// Window length in cycles: the coarse phase compares a trace hash and a
   /// state digest at every boundary (0 selects 16).

@@ -233,13 +233,6 @@ OracleResult run_oracle(const NetSpec& spec,
     candidates = {Candidate{SchedulerKind::Static, 0},
                   Candidate{SchedulerKind::Compiled, 0},
                   Candidate{SchedulerKind::Compiled, 0, /*opt_level=*/2}};
-#if defined(LIBERTY_NATIVE_CODEGEN)
-    // The native backend rides the default matrix only when built in;
-    // whatever the emitter declines runs on its bytecode fallback, so
-    // every netlist is still a valid native candidate.
-    candidates.push_back(Candidate{SchedulerKind::Native, 0});
-    candidates.push_back(Candidate{SchedulerKind::Native, 0, /*opt_level=*/2});
-#endif
   }
   for (const Candidate& cand : candidates) {
     if (cand.threads != 0) {

@@ -4,8 +4,8 @@
 // spill, retention, resume-with-skip, env-fault injection), the
 // fork+SIGKILL harness proving a killed run resumes bit-identically for
 // every scheduler at -O0 and -O2, the committed golden checkpoint every
-// future build must load, and the stable resil.supervisor.* /
-// gen.native.cache.* metric names.
+// future build must load, and the stable resil.supervisor.* metric
+// names.
 #include <gtest/gtest.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -25,7 +25,6 @@
 #include "liberty/core/checkpoint.hpp"
 #include "liberty/core/simulator.hpp"
 #include "liberty/gen/compiled_scheduler.hpp"
-#include "liberty/gen/native.hpp"
 #include "liberty/mpl/mpl.hpp"
 #include "liberty/obs/metrics.hpp"
 #include "liberty/opt/optimizer.hpp"
@@ -566,19 +565,14 @@ void kill_midrun(const std::string& dir, SchedulerKind kind, int opt_level,
 }
 
 TEST(DurableCrash, KilledRunResumesBitIdenticalAcrossSchedulers) {
-  std::vector<SchedulerKind> kinds = {
-      SchedulerKind::Dynamic, SchedulerKind::Static, SchedulerKind::Compiled};
   liberty::gen::ensure_registered();
-  if (liberty::gen::native_available()) {
-    kinds.push_back(SchedulerKind::Native);
-  }
   constexpr Cycle kCycles = 160;
   constexpr Cycle kKillAt = 90;
   for (const int opt_level : {0, 2}) {
     TempDir ref_dir;
     const auto full = durable_run(ref_dir.path, SchedulerKind::Static,
                                   opt_level, kCycles, false);
-    for (const SchedulerKind kind : kinds) {
+    for (const SchedulerKind kind : liberty::core::kSchedulerKinds) {
       TempDir dir;
       kill_midrun(dir.path, kind, opt_level, kKillAt, kCycles);
       const auto resumed =
@@ -668,14 +662,11 @@ TEST(DurableMetrics, StableCounterNames) {
 
   liberty::obs::MetricsRegistry m;
   sup.export_metrics(m);
-  liberty::gen::export_native_metrics(m);
   for (const char* name :
        {"resil.supervisor.checkpoints_written",
         "resil.supervisor.checkpoint_bytes", "resil.supervisor.resumes",
         "resil.supervisor.corrupt_skipped",
-        "resil.supervisor.write_failures", "gen.native.cache.hits",
-        "gen.native.cache.quarantined", "gen.native.cache.compile_retries",
-        "gen.native.cache.compile_timeouts", "gen.native.cache.compiles"}) {
+        "resil.supervisor.write_failures"}) {
     EXPECT_EQ(m.counters().count(name), 1u) << "missing counter " << name;
   }
   EXPECT_GE(m.counters().at("resil.supervisor.checkpoints_written"), 3u);

@@ -168,8 +168,7 @@ TEST(Oracle, InjectedCompiledFaultBlamesEveryOptLevel) {
   cfg.fault_plan = &plan;
   const OracleResult r = run_oracle(pipeline_spec(), fuzz_registry(), cfg);
   ASSERT_FALSE(r.ok);
-  // Default battery: static (healthy), compiled -O0 and -O2 (both faulty),
-  // and native -O0/-O2 when built in (healthy: native is its own kind).
+  // Default battery: static (healthy), compiled -O0 and -O2 (both faulty).
   ASSERT_EQ(r.divergences.size(), 2u) << r.report();
   int opt_levels_seen = 0;
   for (const liberty::testing::Divergence& d : r.divergences) {

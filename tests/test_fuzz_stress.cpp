@@ -18,7 +18,6 @@
 
 #include "liberty/ccl/ccl.hpp"
 #include "liberty/gen/compiled_scheduler.hpp"
-#include "liberty/gen/native.hpp"
 #include "liberty/resil/durable.hpp"
 #include "liberty/resil/recovery.hpp"
 #include "liberty/scenario/rack.hpp"
@@ -168,49 +167,6 @@ TEST(FuzzStress, RackKillResumeHundredSeededCyclesBitIdentical) {
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
   }
-}
-
-// Native-codegen slice: 200 fuzzed netlists against the native scheduler
-// at -O0 and -O2.  Chains the emitter declines run on the bytecode
-// fallback inside the same scheduler, so every generated netlist is a
-// valid candidate.  Skips cleanly in LIBERTY_NATIVE_CODEGEN=OFF builds.
-TEST(FuzzStress, NativeTwoHundredSeedsZeroDivergence) {
-  if (!liberty::gen::native_available()) {
-    GTEST_SKIP() << "built with LIBERTY_NATIVE_CODEGEN=OFF";
-  }
-  liberty::gen::ensure_registered();
-  // One shared artifact cache for the whole sweep, and -O0 host compiles:
-  // distinct netlist shapes each cost one toolchain invocation, repeats
-  // are cache hits.
-  char tmpl[] = "/tmp/liberty-native-fuzz-XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  liberty::gen::native_options().cache_dir = tmpl;
-  liberty::gen::native_options().backend_opt = 0;
-
-  liberty::core::ModuleRegistry registry;
-  liberty::pcl::register_pcl(registry);
-  liberty::ccl::register_ccl(registry);
-  const liberty::testing::FuzzConfig cfg;
-  liberty::testing::OracleConfig oracle;
-  oracle.candidates = {
-      Candidate{SchedulerKind::Native, 0},
-      Candidate{SchedulerKind::Native, 0, /*opt_level=*/2},
-  };
-  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    const liberty::testing::NetSpec spec =
-        liberty::testing::generate_netlist(seed, cfg);
-    const liberty::testing::OracleResult r =
-        liberty::testing::run_oracle(spec, registry, oracle);
-    if (!r.ok) {
-      liberty::gen::native_options() = liberty::gen::NativeOptions{};
-      std::filesystem::remove_all(tmpl);
-    }
-    ASSERT_TRUE(r.ok) << "native seed " << seed << "\n"
-                      << r.report() << spec.render();
-  }
-  liberty::gen::native_options() = liberty::gen::NativeOptions{};
-  std::error_code ec;
-  std::filesystem::remove_all(tmpl, ec);
 }
 
 }  // namespace

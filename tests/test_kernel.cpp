@@ -209,11 +209,10 @@ TEST(KernelStructure, SchedulerKindParsing) {
   EXPECT_EQ(scheduler_kind_from_name("static"), SchedulerKind::Static);
   EXPECT_EQ(scheduler_kind_from_name("comp"), SchedulerKind::Compiled);
   EXPECT_EQ(scheduler_kind_from_name("compiled"), SchedulerKind::Compiled);
-  EXPECT_EQ(scheduler_kind_from_name("native"), SchedulerKind::Native);
   for (const SchedulerKind kind : liberty::core::kSchedulerKinds) {
     EXPECT_EQ(scheduler_kind_from_name(scheduler_kind_name(kind)), kind);
   }
-  for (const char* bad : {"par", "parallel", "greedy"}) {
+  for (const char* bad : {"par", "parallel", "native", "greedy"}) {
     EXPECT_THROW((void)scheduler_kind_from_name(bad),
                  liberty::ElaborationError)
         << bad;

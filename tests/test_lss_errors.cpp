@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <map>
 #include <string>
 
 #include "liberty/ccl/ccl.hpp"
@@ -163,6 +164,63 @@ TEST(LssErrors, RealSpecsFitTheElaborationBudget) {
         liberty::core::lss::parse_file(path), nl);
     EXPECT_GT(nl.module_count(), 0u) << leaf;
   }
+}
+
+/// Elaborate examples/specs/funnel.lss with `overrides`.  Returns the
+/// diagnostic it dies with ("" = accepted) and sets `modules`.
+std::string funnel_with(const std::map<std::string, liberty::Value>& overrides,
+                        std::size_t& modules) {
+  const std::string path =
+      std::string(LIBERTY_REPO_ROOT) + "/examples/specs/funnel.lss";
+  liberty::core::Netlist nl;
+  modules = 0;
+  try {
+    liberty::core::lss::Elaborator(registry())
+        .elaborate(liberty::core::lss::parse_file(path), nl, overrides);
+  } catch (const liberty::ElaborationError& e) {
+    return e.what();
+  }
+  modules = nl.module_count();
+  return {};
+}
+
+// A parameter override takes effect only through a top-level `param` of
+// that name; any other key is a diagnostic that names it and lists the
+// spec's top-level params, never a silent run of the default model.
+TEST(LssErrors, ParamOverrideMustNameATopLevelParam) {
+  std::size_t modules = 0;
+  const liberty::Value three(std::int64_t{3});
+  for (const char* bad : {"NOSUCH", "", "depth", "n"}) {
+    const std::string msg = funnel_with({{bad, three}}, modules);
+    EXPECT_NE(msg.find("parameter override '" + std::string(bad) + "'"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("top-level params: DEPTH, N"), std::string::npos)
+        << msg;
+  }
+  // One bad key among good ones still fails.
+  EXPECT_FALSE(
+      funnel_with({{"N", liberty::Value(std::int64_t{8})}, {"RATE", three}},
+                  modules)
+          .empty());
+  // A spec without params lists none.
+  liberty::core::Netlist nl;
+  try {
+    liberty::core::lss::build_from_lss("instance q : pcl.queue;\n", "t.lss",
+                                       nl, registry(), {{"N", three}});
+    ADD_FAILURE() << "override accepted by a spec without params";
+  } catch (const liberty::ElaborationError& e) {
+    EXPECT_NE(std::string(e.what()).find("top-level params: none"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // The overrides that do name a top-level param still apply.
+  ASSERT_EQ(funnel_with({}, modules), "");
+  const std::size_t default_modules = modules;
+  ASSERT_EQ(funnel_with({{"N", liberty::Value(std::int64_t{8})}}, modules),
+            "");
+  EXPECT_GT(modules, default_modules);
 }
 
 // A negative size parameter must not wrap around to an unbounded size_t.

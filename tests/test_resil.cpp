@@ -207,10 +207,10 @@ TEST(FaultPlan, SchedulerRestrictionMustNameAKind) {
            "\"scheduler\":\"" +
            sched + "\"}]}";
   };
-  for (const char* ok : {"dynamic", "static", "compiled", "native"}) {
+  for (const char* ok : {"dynamic", "static", "compiled"}) {
     EXPECT_EQ(FaultPlan::from_json(plan_json(ok)).faults[0].scheduler, ok);
   }
-  for (const char* bad : {"parallel", "statc", "dyn", "Static"}) {
+  for (const char* bad : {"parallel", "native", "statc", "dyn", "Static"}) {
     try {
       (void)FaultPlan::from_json(plan_json(bad));
       ADD_FAILURE() << "accepted scheduler '" << bad << "'";

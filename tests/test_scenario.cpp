@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -120,12 +122,48 @@ TEST(Trace, SyntheticRoundTripsThroughText) {
             liberty::scenario::render_trace(reqs));
 }
 
+/// parse_trace(text) must throw naming `line` and containing `needle`.
+void expect_trace_error(const std::string& text, std::size_t line,
+                        const std::string& needle) {
+  try {
+    (void)liberty::scenario::parse_trace(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const liberty::ElaborationError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("scenario.trace: line " + std::to_string(line) + ": "),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find(needle), std::string::npos) << msg;
+  }
+}
+
+// Every field is a strict unsigned decimal and nothing may follow <words>:
+// a sign, a fraction, trailing junk or an out-of-range value is a
+// diagnostic, never a silently different request.
 TEST(Trace, ParserRejectsMalformedInput) {
-  EXPECT_THROW(liberty::scenario::parse_trace("req 1 2\n"), liberty::Error);
-  EXPECT_THROW(liberty::scenario::parse_trace("req 1 0 1 1\n"),
-               liberty::Error);  // words < 2
-  EXPECT_THROW(liberty::scenario::parse_trace("nonsense\n"), liberty::Error);
+  expect_trace_error("req 1 2\n", 1, "expected 'req <cycle>");
+  expect_trace_error("req 1 0 1 1\n", 1, "words >= 2");
+  expect_trace_error("nonsense\n", 1, "expected 'req', got 'nonsense'");
+  expect_trace_error("req -1 0 1 4\n", 1, "<cycle> '-1'");
+  expect_trace_error("req 0 +0 1 4\n", 1, "<src> '+0'");
+  expect_trace_error("req 0 0 1 4.9\n", 1, "<words> '4.9'");
+  expect_trace_error("req 0 0 1 4junk\n", 1, "<words> '4junk'");
+  expect_trace_error("# header\nreq 0 0 1 4 junk\n", 2,
+                     "unexpected 'junk' after <words>");
+  expect_trace_error("req 0 0 18446744073709551616 4\n", 1,
+                     "<dst> '18446744073709551616'");
   EXPECT_TRUE(liberty::scenario::parse_trace("# only a comment\n").empty());
+
+  const auto reqs = liberty::scenario::parse_trace(
+      "req 7 1 0 4   # trailing comment\n"
+      "req 18446744073709551615 0 1 2\n");
+  ASSERT_EQ(reqs.size(), 2u);
+  EXPECT_EQ(reqs[0].cycle, 7u);
+  EXPECT_EQ(reqs[0].src, 1u);
+  EXPECT_EQ(reqs[0].dst, 0u);
+  EXPECT_EQ(reqs[0].words, 4u);
+  EXPECT_EQ(reqs[1].id, 1u);
+  EXPECT_EQ(reqs[1].cycle, 18446744073709551615u);
 }
 
 // --- The oracle identity: tentpole acceptance criterion ---------------------
@@ -199,8 +237,7 @@ class ResolvedTransferCounter final : public liberty::core::KernelProbe {
 // the per-connection counts and the transfers visible in channel state all
 // agree, on the rack and on a fuzzed netlist.  A transfer recorded twice on
 // the dirty list would double the first two but not the third.  Runs
-// without a probe (native's lazily published channels) are held to the
-// probed dynamic count instead.
+// without a probe are held to the probed dynamic count instead.
 TEST(Scenario, TransfersCommittedOncePerTransfer) {
   const NetSpec rack = liberty::scenario::rack_netspec(tiny_rack());
   liberty::testing::FuzzConfig fuzz_cfg;
@@ -377,6 +414,60 @@ TEST(Scenario, FuzzFamilyIsDeterministicPerSeed) {
   }
   EXPECT_NE(liberty::scenario::fuzz_rack_netspec(1).render(),
             liberty::scenario::fuzz_rack_netspec(2).render());
+}
+
+// --- Rack shape bounds ------------------------------------------------------
+
+// A rack shape that wraps or exceeds the elaboration budget is diagnosed
+// before anything is allocated: each rejection is immediate.
+TEST(Scenario, RackShapeCannotWrapOrExplode) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  struct Case {
+    const char* label;
+    std::size_t cols, rows, cores, requests;
+    const char* needle;
+  };
+  const Case cases[] = {
+      {"cols*rows wraps to 2", 9223372036854775809ull, 2, 2, 4, "overflows"},
+      {"cols*rows wraps to 0", 1ull << 32, 1ull << 32, 2, 4, "overflows"},
+      {"nodes x cores", 1000, 1000, 2, 4, "cores per node exceeds"},
+      {"huge cores", 2, 2, kMax, 4, "cores per node exceeds"},
+      {"nodes x requests", 1000, 1000, 1, 2, "requests per node exceeds"},
+      {"huge requests", 4, 4, 2, kMax, "requests per node exceeds"},
+  };
+  for (const Case& c : cases) {
+    RackConfig cfg;
+    cfg.mesh_cols = c.cols;
+    cfg.mesh_rows = c.rows;
+    cfg.cores = c.cores;
+    cfg.requests_per_node = c.requests;
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      (void)liberty::scenario::rack_netspec(cfg);
+      ADD_FAILURE() << c.label << ": accepted";
+    } catch (const liberty::ElaborationError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.needle), std::string::npos)
+          << c.label << ": " << e.what();
+    }
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count(),
+              1.0)
+        << c.label;
+  }
+
+  // The benchmark's flagship 4x4 rack and the fuzz family still build.
+  RackConfig flagship;
+  flagship.mesh_cols = 4;
+  flagship.mesh_rows = 4;
+  flagship.requests_per_node = 24;
+  Netlist netlist;
+  liberty::scenario::rack_netspec(flagship).build(netlist, rack_registry());
+  EXPECT_NE(netlist.find("n15.sink"), nullptr);
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    EXPECT_NO_THROW((void)liberty::scenario::fuzz_rack_netspec(seed))
+        << "seed " << seed;
+  }
 }
 
 // Simulator::state_digest is the oracle's streaming stand-in for

@@ -69,7 +69,7 @@ constexpr const char* kUsage = R"(usage: liberty_fuzz [options]
   --shrink            on failure, shrink to a minimal reproducer
   --no-bisect         skip snapshot/restore bisection on divergence
   --inject-fault K:C:N  drop acks under scheduler K
-                      (dynamic|static|compiled|native)
+                      (dynamic|static|compiled)
                       from cycle C on connection N (harness self-test; sugar
                       for a one-spec --faults plan restricted to K)
   --faults FILE       inject the liberty.faultplan JSON plan FILE into every
