@@ -10,13 +10,11 @@
 // The elaboration-time optimizer (docs/optimizer.md) rides the same
 // harness: every (netlist, scheduler) pair runs at -O0 and again at -O2,
 // and the JSON records both so the optimizer's effect is an A/B diff on
-// identical workloads.  Three netlists exist specifically for it:
+// identical workloads.  Two netlists exist specifically for it:
 // "passthrough x32" is dominated by stateless chain fusion (16 identity
-// FuncMaps per lane collapse into one fused handler), "const fold x32" by
-// constant propagation + dead-logic elimination (an expensive pure
-// transform folds once at elaboration instead of 512 times per cycle),
-// and "burst idle" by quiescence gating (lanes sleep between widely
-// spaced bursts).
+// FuncMaps per lane collapse into one fused handler), and "const fold x32"
+// by constant propagation + dead-logic elimination (an expensive pure
+// transform folds once at elaboration instead of 512 times per cycle).
 //
 // Artifact: BENCH_scheduler.json in the working directory, one record per
 // (netlist, scheduler, opt level) with wall-clock, react-call and
@@ -141,23 +139,6 @@ void build_const_fold(core::Netlist& nl) {
   }
 }
 
-void build_burst_idle(core::Netlist& nl) {
-  // Gating-dominated: 16 lanes that see one item every 32 cycles.  Between
-  // bursts the delay/probe/sink tail of each lane is quiescent; at -O2 the
-  // schedulers put those SCCs to sleep and replay their idle resolutions.
-  for (int lane = 0; lane < 16; ++lane) {
-    const std::string l = std::to_string(lane);
-    auto& src = nl.make<pcl::Source>(
-        "s" + l, core::Params().set("kind", "counter").set("period", 32));
-    auto& d = nl.make<pcl::Delay>("d" + l, core::Params().set("latency", 2));
-    auto& p = nl.make<pcl::Probe>("p" + l, core::Params());
-    auto& k = nl.make<pcl::Sink>("k" + l, core::Params());
-    nl.connect(src.out("out"), d.in("in"));
-    nl.connect(d.out("out"), p.in("in"));
-    nl.connect(p.out("out"), k.in("in"));
-  }
-}
-
 struct Result {
   double wall_s = 0.0;
   double kcps = 0.0;             // kcycles per wall second
@@ -193,9 +174,8 @@ Result run(void (*build)(core::Netlist&), const SchedulerSpec& spec,
   // shared/single-core host carries enough timer and scheduling-quantum
   // noise to flip O2/O0 ratios; the minimum wall time of two fresh
   // elaborate+simulate passes is a far more stable estimator.  Simulation
-  // results are identical across repeats by the bit-identity guarantee, so
-  // only the timing is folded; counters are reported from the first run
-  // (the gate's wall-clock calibration may retire differently per repeat).
+  // results and counters are identical across repeats (no scheduling
+  // decision depends on timing), so only the timing is folded.
   Result best = run_once(build, spec, cycles, opt_level);
   const Result again = run_once(build, spec, cycles, opt_level);
   if (again.wall_s < best.wall_s) {
@@ -216,8 +196,7 @@ int main() {
                            {"mesh 8x8", build_mesh_8x8},
                            {"arbiter trees", build_arbiters},
                            {"passthrough x32", build_passthrough},
-                           {"const fold x32", build_const_fold},
-                           {"burst idle", build_burst_idle}};
+                           {"const fold x32", build_const_fold}};
   constexpr std::uint64_t kCycles = 20'000;
   constexpr int kOptLevels[] = {0, 2};
   auto base_specs = scheduler_matrix();
@@ -292,10 +271,9 @@ int main() {
   t.print();
   std::printf("\nshape check: identical results at every opt level; static "
               "scheduling reduces handler invocations and wins wall-clock; "
-              "-O2 wins again on top wherever constants, fused chains or "
-              "quiescent SCCs exist (passthrough x32, const fold x32 and "
-              "burst idle are built to show fusion, folding and gating "
-              "respectively).\n"
+              "-O2 wins again on top wherever constants or fused chains "
+              "exist (passthrough x32 and const fold x32 are built to show "
+              "fusion and folding respectively).\n"
               "wrote BENCH_scheduler.json\n");
   return 0;
 }

@@ -89,6 +89,32 @@ done
   | grep -q '== resolve ('
 echo "compiled digests identical on $(ls examples/specs/*.lss | wc -l) specs"
 
+# Run-to-run determinism: no scheduling decision reads the clock, so two
+# runs of one spec must report identical work counters.  Timing lives
+# under `scalars` (profile.*) and is left out.
+echo "=== -O2 counters repeat across runs ==="
+if command -v python3 >/dev/null 2>&1; then
+  for spec in examples/specs/*.lss; do
+    for run in 1 2; do
+      ./build/examples/lss_run "$spec" --cycles 500 --scheduler compiled \
+        --opt-level 2 --metrics="$smoke_dir/counters-$run.json" --quiet \
+        >/dev/null
+    done
+    python3 - "$smoke_dir/counters-1.json" "$smoke_dir/counters-2.json" \
+      "$spec" <<'PY'
+import json, sys
+a = json.load(open(sys.argv[1]))["counters"]
+b = json.load(open(sys.argv[2]))["counters"]
+if a != b:
+    diff = sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
+    sys.exit("counters differ between runs on %s: %s" % (sys.argv[3], diff))
+PY
+  done
+  echo "counters repeat on $(ls examples/specs/*.lss | wc -l) specs"
+else
+  echo "python3 not found; skipped the counter comparison"
+fi
+
 # Resilience smoke: inject -> detect -> roll back -> finish bit-identical
 # (docs/resilience.md).  A drop_ack fault on the funnel's sink feed must be
 # flagged by the watchdog (exit 1), and the rollback supervisor must mask

@@ -82,8 +82,6 @@ class TrafficSink : public liberty::core::Module {
   void end_of_cycle() override;
   void save_state(liberty::core::StateWriter& w) const override;
   void load_state(liberty::core::StateReader& r) override;
-  void declare_opt(liberty::core::OptTraits& traits) const override;
-  [[nodiscard]] bool can_sleep() const override;
 
   [[nodiscard]] std::uint64_t received() const noexcept { return received_; }
   [[nodiscard]] double mean_latency() const;

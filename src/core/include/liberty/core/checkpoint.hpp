@@ -29,7 +29,9 @@
 //                             everything before it.  parse_checkpoint
 //                             rejects — with a reason, never an exception —
 //                             anything truncated, bit-flipped, version-
-//                             skewed, or undecodable.
+//                             skewed, or undecodable, any count the
+//                             remaining bytes cannot hold, and payloads
+//                             nested deeper than ByteReader::kMaxNesting.
 //
 // The topology hash (Netlist::topology_hash) is structural — instance
 // names, endpoint refs, ack modes, quarantine state — deliberately not
@@ -100,6 +102,20 @@ class ByteReader {
   }
   [[nodiscard]] double get_real();
   [[nodiscard]] std::string get_string();
+  /// u32 element count ahead of `min_bytes`-or-larger elements.  Counts
+  /// come from the file, and a CRC is no defence against a crafted one, so
+  /// a count the remaining bytes cannot hold throws SimulationError
+  /// ("implausible <what> count N") before anything is allocated for it.
+  [[nodiscard]] std::uint32_t get_count(std::size_t min_bytes,
+                                        std::string_view what);
+
+  /// Payloads may carry values (decode_value recurses through their
+  /// codecs), so a crafted file could nest them deeper than the stack
+  /// holds.  decode_value brackets each payload with these; entering past
+  /// kMaxNesting throws SimulationError.
+  static constexpr std::size_t kMaxNesting = 256;
+  void enter_payload();
+  void leave_payload() noexcept { --nesting_; }
 
   [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
   [[nodiscard]] std::size_t remaining() const noexcept {
@@ -113,6 +129,7 @@ class ByteReader {
   [[nodiscard]] std::uint64_t get_le(int n);
   std::string_view bytes_;
   std::size_t pos_ = 0;
+  std::size_t nesting_ = 0;
 };
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over `n` bytes; chain calls by

@@ -148,13 +148,6 @@ class Connection {
   [[nodiscard]] std::uint64_t transfer_count() const noexcept {
     return transfers_;
   }
-  /// Number of channel resolutions applied by the kernel's quiescence
-  /// defaulting rather than by module code.  Nonzero values flag
-  /// under-specified control in partial models.
-  [[nodiscard]] std::uint64_t defaulted_count() const noexcept {
-    return defaulted_;
-  }
-
   /// Bumps every time either channel resolves; a cheap global progress
   /// measure.
   [[nodiscard]] std::uint64_t generation() const noexcept {
@@ -257,7 +250,6 @@ class Connection {
     if (!data_.is_token()) data_ = Value();
   }
 
-  void note_defaulted() noexcept { ++defaulted_; }
   void set_hooks(ResolveHooks* h) noexcept { hooks_ = h; }
   void set_fault_hook(FaultHook* h) noexcept { fault_ = h; }
 
@@ -278,7 +270,6 @@ class Connection {
   Value data_;
 
   std::uint64_t transfers_ = 0;
-  std::uint64_t defaulted_ = 0;
   std::uint32_t gen_fwd_ = 0;
   std::uint32_t gen_bwd_ = 0;
 };

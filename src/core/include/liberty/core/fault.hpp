@@ -22,10 +22,10 @@
 //
 // Determinism contract for implementations: the mapping applied to a channel
 // must be a pure function of (connection identity, current cycle, incoming
-// signal) — NEVER of the incoming value.  The -O2 quiescence gate caches and
-// replays post-mapping values; a value-dependent mapping would compose with
-// itself on replay and diverge from -O0.  liberty::resil::FaultInjector is
-// the reference implementation; see docs/resilience.md.
+// signal) — NEVER of the incoming value, so a channel receives the same
+// substitute whichever scheduler or -O level drove it.
+// liberty::resil::FaultInjector is the reference implementation; see
+// docs/resilience.md.
 //
 // Module-safety contract: a forward mapping may corrupt or suppress an
 // offer, but must never fabricate one (enable Negated -> Asserted).  Module

@@ -100,7 +100,7 @@ class Netlist {
   /// Schedulers cache quarantine flags at construction, so this must be
   /// followed by a simulator rebuild — and any optimizer plan derived from
   /// the module's declared behaviour must be dropped first (quarantine
-  /// invalidates constprop/fusion/gating facts about this module).  See
+  /// invalidates constprop/fusion facts about this module).  See
   /// docs/resilience.md for when this policy is unsound.
   void quarantine(Module& m);
   [[nodiscard]] bool is_quarantined(ModuleId id) const noexcept {

@@ -6,21 +6,20 @@
 // optimization possible without compromising the reactive semantics:
 //
 //  * OptTraits — what a module *declares* about itself (Module::declare_opt):
-//    statelessness, purity, sleepability, pass-through structure, and
-//    provably constant drives.  Declarations are promises about behaviour;
-//    the optimizer only ever acts on declared facts, never on inference
-//    from module code.
+//    statelessness, purity, pass-through structure, and provably constant
+//    drives.  Declarations are promises about behaviour; the optimizer
+//    only ever acts on declared facts, never on inference from module
+//    code.
 //
 //  * OptPlan — what the optimizer *concluded* (liberty::opt::optimize):
-//    per-channel constants, elidable modules, fused pass-through chains,
-//    and whether quiescence gating is enabled.  The plan is pure
-//    annotation: no module or connection is physically removed from the
-//    netlist, every channel still resolves every cycle with exactly the
-//    value it would have at -O0, and schedulers consult the plan to skip
-//    the work of re-deriving those values.  This is what keeps all three
-//    schedulers bit-identical to the unoptimized netlist on transfer
-//    traces, state digests, and stats (verified by the differential
-//    oracle).
+//    per-channel constants, elidable modules and fused pass-through
+//    chains.  The plan is pure annotation: no module or connection is
+//    physically removed from the netlist, every channel still resolves
+//    every cycle with exactly the value it would have at -O0, and
+//    schedulers consult the plan to skip the work of re-deriving those
+//    values.  This is what keeps all three schedulers bit-identical to the
+//    unoptimized netlist on transfer traces, state digests, and stats
+//    (verified by the differential oracle).
 //
 // The plan is built by the liberty_opt library (src/opt) and attached to
 // the netlist with Netlist::set_opt_plan; a null plan means "run exactly
@@ -70,10 +69,6 @@ class OptTraits {
   /// request_stop.  Together with stateless(), makes the module elidable
   /// when all its driven channels are constant.
   void pure() noexcept { pure_ = true; }
-  /// This module's drives are a deterministic function of its inputs and
-  /// committed state, and Module::can_sleep() reports (per cycle) whether
-  /// the state component is quiescent.  Enables quiescence gating.
-  void sleepable() noexcept { sleepable_ = true; }
 
   void passthrough(const Port& in, const Port& out,
                    std::function<Value(const Value&)> transform = {}) {
@@ -85,7 +80,6 @@ class OptTraits {
 
   [[nodiscard]] bool is_stateless() const noexcept { return stateless_; }
   [[nodiscard]] bool is_pure() const noexcept { return pure_; }
-  [[nodiscard]] bool is_sleepable() const noexcept { return sleepable_; }
   [[nodiscard]] const std::vector<PassThrough>& passthroughs() const noexcept {
     return passthroughs_;
   }
@@ -97,7 +91,6 @@ class OptTraits {
  private:
   bool stateless_ = false;
   bool pure_ = false;
-  bool sleepable_ = false;
   std::vector<PassThrough> passthroughs_;
   std::vector<ConstForward> const_forwards_;
 };
@@ -142,10 +135,6 @@ struct OptPlan {
   /// end_of_cycle entirely.
   std::vector<char> elided;
 
-  /// By ModuleId: module declared sleepable() (quiescence-gating
-  /// candidate; the per-cycle go/no-go is Module::can_sleep()).
-  std::vector<char> sleepable;
-
   std::vector<Chain> chains;
   /// By ModuleId: index into `chains` or -1.
   std::vector<std::int32_t> chain_of_module;
@@ -153,16 +142,8 @@ struct OptPlan {
   /// or -1.
   std::vector<std::int32_t> chain_of_channel;
 
-  /// Master switch for quiescence gating (the schedulers derive the
-  /// per-SCC candidate sets themselves from `sleepable` and their own
-  /// schedule graphs).
-  bool gating = false;
-
   [[nodiscard]] bool module_elided(ModuleId id) const noexcept {
     return id < elided.size() && elided[id] != 0;
-  }
-  [[nodiscard]] bool module_sleepable(ModuleId id) const noexcept {
-    return id < sleepable.size() && sleepable[id] != 0;
   }
 };
 

@@ -24,11 +24,10 @@
 //
 // All schedulers produce bit-identical simulations; tests verify this on
 // every component library and on randomized netlists.  The kernel is
-// single-threaded: one thread runs every phase of a cycle, so scheduler,
-// gate and channel state are plain fields.
+// single-threaded: one thread runs every phase of a cycle, so scheduler
+// and channel state are plain fields.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string_view>
@@ -123,177 +122,6 @@ class ScheduleGraph {
   std::vector<char> self_loop_;                // per SCC index
 };
 
-/// Runtime state of the optimizer's quiescence-gating pass (OptPlan::gating).
-///
-/// The gate learns, per schedule-graph SCC, whether the SCC's result this
-/// cycle is forced to equal last cycle's: every module driving a channel of
-/// the SCC declared sleepable() and reports can_sleep(), the cached result
-/// from last cycle is valid, and every boundary channel (predecessors
-/// outside the SCC) resolved to exactly its cached signal and value.  When
-/// all hold, the SCC's channels are *replayed* from the cache — each channel
-/// still resolves, through the normal send/idle/ack/nack paths with all
-/// hooks firing, so transfer traces, digests and stats stay bit-identical —
-/// without invoking any module handler.  Modules all of whose driven
-/// channels sit in candidate SCCs additionally skip cycle_start while
-/// asleep, and skip end_of_cycle unless one of their connections transferred
-/// this cycle (transfers must commit state wherever they land).
-class QuiescenceGate {
- public:
-  using CounterVisitor =
-      std::function<void(std::string_view name, std::uint64_t value)>;
-
-  /// Derive candidate SCCs and gateable modules from the schedule graph and
-  /// the optimizer plan.  No-op (gate stays disabled) when the plan has no
-  /// gating or nothing qualifies.
-  void build(const ScheduleGraph& graph, const OptPlan& plan,
-             const std::vector<Module*>& modules);
-
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-  [[nodiscard]] bool is_candidate(std::uint32_t scc) const noexcept {
-    return enabled_ && candidate_[scc] != 0;
-  }
-  /// Candidate SCC indices in topological order.
-  [[nodiscard]] const std::vector<std::uint32_t>& candidates() const noexcept {
-    return candidates_;
-  }
-  [[nodiscard]] bool module_asleep(ModuleId id) const noexcept {
-    return enabled_ && asleep_[id] != 0;
-  }
-  /// Structural: may this module ever be marked asleep?  Lowering uses this
-  /// to keep the asleep check out of opcodes for modules that cannot sleep
-  /// (runtime retirement only ever shrinks the gateable set, so a gated
-  /// opcode for a since-retired module degrades to one always-false test).
-  [[nodiscard]] bool module_gateable(ModuleId id) const noexcept {
-    return enabled_ && gateable_[id] != 0;
-  }
-
-  /// Reset per-cycle state and mark gateable quiescent modules asleep.
-  /// A module sleeps only when every candidate SCC it drives is armed
-  /// (not backed off) at `cycle` — so a backed-off SCC never has asleep
-  /// drivers and its try_sleep fast path is a single compare.
-  void begin_cycle(Cycle cycle);
-  /// Decide SCC `scc` at its schedule slot: replay from cache when every
-  /// driver can sleep and the boundary is unchanged (returns true), else
-  /// wake any asleep drivers (running their deferred cycle_start for
-  /// `cycle`, and reporting them through `woken` when non-null) and return
-  /// false so the caller executes the SCC normally.
-  /// The disabled/retired test is inline: schedulers and the compiled tape
-  /// query the gate once per SCC (and once per module for the commit skip)
-  /// every cycle, so after the cost-model guard turns the gate off these
-  /// must cost one predictable branch — not an out-of-line call whose body
-  /// immediately returns.
-  bool try_sleep(std::uint32_t scc, Cycle cycle,
-                 std::vector<Module*>* woken = nullptr) {
-    if (!enabled_ || suspended_ || candidate_[scc] == 0) return false;
-    return try_sleep_slow(scc, cycle, woken);
-  }
-  /// Stamp modules adjacent to this cycle's transfers (the unsorted dirty
-  /// list) so skip_end_of_cycle keeps their commit hook.
-  void mark_transfers(const std::vector<Connection*>& transferred,
-                      std::uint64_t token);
-  [[nodiscard]] bool skip_end_of_cycle(const Module& m, std::uint64_t token) {
-    return enabled_ && skip_end_of_cycle_slow(m, token);
-  }
-  /// Refresh caches from this cycle's resolved channels and re-sample
-  /// can_sleep() for next cycle.  Runs before reset_channels.
-  /// `cycle` is the cycle that just finished; SCCs backed off past the next
-  /// cycle skip the (Value-copying) snapshot entirely.
-  void refresh(Cycle cycle);
-  /// Drop all learned state (Simulator::restore).
-  void invalidate();
-
-  void visit_counters(const CounterVisitor& visit) const;
-
-  /// True while the measured cost-model guard runs its ungated sample
-  /// window (nothing sleeps; see kCalibPeriod below).
-  [[nodiscard]] bool suspended() const noexcept { return suspended_; }
-
- private:
-  struct Ch {
-    Connection* conn = nullptr;
-    ChannelKind kind = ChannelKind::Forward;
-    ChannelId id = 0;
-  };
-  struct SccInfo {
-    std::vector<Ch> members;   // forwards first (replay order)
-    std::vector<Ch> boundary;  // distinct predecessors outside the SCC
-    std::vector<Module*> drivers;  // distinct, first-appearance order
-  };
-
-  bool try_sleep_slow(std::uint32_t scc, Cycle cycle,
-                      std::vector<Module*>* woken);
-  [[nodiscard]] bool skip_end_of_cycle_slow(const Module& m,
-                                            std::uint64_t token);
-  [[nodiscard]] bool boundary_unchanged(const SccInfo& si) const;
-  void replay(const SccInfo& si);
-  /// Permanently drop one SCC from gating: its drivers stop arming asleep
-  /// (so cycle_start keeps running and the SCC resolves normally).
-  void retire_scc(std::uint32_t scc);
-  void clear_asleep() noexcept;
-  /// Forget learned caches (cache validity, backoff, sampled sleep_ok)
-  /// while keeping the candidate structure — used when gating resumes
-  /// after a suspended window left the caches stale.
-  void drop_caches();
-
-  bool enabled_ = false;
-  std::vector<SccInfo> info_;          // per SCC (empty unless candidate)
-  std::vector<char> candidate_;        // per SCC
-  std::vector<std::uint32_t> candidates_;
-  std::vector<Module*> tracked_;       // drivers of candidates + gateable
-  std::vector<std::vector<std::uint32_t>> sccs_of_;  // module -> driven SCCs
-  std::vector<char> gateable_;         // per module
-  std::vector<char> sleep_ok_;         // per module, sampled at refresh
-  std::vector<char> asleep_;           // per module
-  std::vector<char> slept_;            // per SCC, current cycle
-  std::vector<char> cache_valid_;      // per SCC
-  // Exponential backoff for SCCs that keep failing to sleep: a failed
-  // attempt schedules the next one `backoff_` cycles out (doubling to
-  // kMaxBackoff) so persistently busy SCCs cost one counter compare per
-  // cycle instead of a boundary compare plus a cache snapshot.
-  static constexpr Cycle kMaxBackoff = 64;
-  std::vector<Cycle> attempt_at_;      // per SCC: next attempt cycle
-  std::vector<Cycle> backoff_;         // per SCC: current backoff span
-  // Global retirement: every kAuditPeriod cycles refresh() totals the
-  // sleep counters, and after two consecutive windows with zero sleeps the
-  // gate disables itself for the rest of the run — a netlist that never
-  // quiesces stops paying the per-cycle machinery entirely.
-  static constexpr Cycle kAuditPeriod = 256;
-  Cycle next_audit_ = kAuditPeriod;
-  std::uint64_t sleeps_at_audit_ = 0;
-  int zero_windows_ = 0;
-  // Measured cost-model guard: gating is an optimization bet, and some
-  // netlists lose it (boundary compares + cache replays + snapshot refresh
-  // cost more than the handlers they skip).  The first kCalibPeriod-cycle
-  // window after construction runs gated, the second runs *suspended*
-  // (nothing sleeps, no snapshots), and refresh() compares the wall-clock
-  // window times: the gate survives only when the gated window was
-  // measurably faster (a >=2% win) — a marginal gate keeps costing every
-  // remaining cycle, so the asymmetric risk says bail unless gating
-  // provably pays.  Timing feeds the on/off decision only — gating
-  // never changes simulation results — so bit-identity is untouched.
-  // Additionally each audit window retires individual SCCs whose measured
-  // sleep ratio is below 1/2: below that, the per-sleep replay plus the
-  // per-cycle boundary/snapshot overhead cannot beat the skipped handlers.
-  static constexpr Cycle kCalibPeriod = 384;
-  enum class Calib : std::uint8_t { GatedWindow, UngatedWindow, Done };
-  Calib calib_ = Calib::GatedWindow;
-  bool suspended_ = false;
-  bool win_started_ = false;
-  Cycle win_end_ = 0;
-  std::chrono::steady_clock::time_point win_start_{};
-  double gated_seconds_ = 0.0;
-  std::uint64_t sleeps_at_win_ = 0;
-  std::vector<std::uint64_t> audit_scc_sleeps_;  // per SCC, at last audit
-  std::uint64_t retired_sccs_ = 0;
-  std::vector<Tristate> cached_sig_;   // per channel
-  std::vector<Value> cached_val_;      // per channel (asserted forwards)
-  std::vector<std::uint64_t> eoc_stamp_;  // per module: last transfer cycle
-  // Counters.
-  std::vector<std::uint64_t> scc_sleeps_;
-  std::vector<std::uint64_t> scc_wakes_;
-  std::uint64_t eoc_skips_ = 0;
-};
-
 class FaultHook;
 
 /// Fixed-point iteration guard: an SCC (static/compiled) or worklist
@@ -344,7 +172,6 @@ class SchedulerBase : public ResolveHooks {
   /// liberty::resil::FaultInjector is the implementation).  Must be called
   /// between cycles; the kernel never takes ownership.
   void set_fault_hook(FaultHook* hook);
-  [[nodiscard]] FaultHook* fault_hook() const noexcept { return fault_; }
 
   /// Cap fixed-point passes per cycle (0 = unlimited); exceeding it throws
   /// SimulationError naming the oscillating channel set.  The cap is a
@@ -356,9 +183,9 @@ class SchedulerBase : public ResolveHooks {
 
   /// Reset mid-cycle kernel state after run_cycle aborted with an exception
   /// (watchdog violation, injected handler fault, non-convergence): wipes
-  /// every channel, re-arms fused-chain sweep stamps, and drops the
-  /// quiescence-gate caches.  Simulator::restore calls this unconditionally
-  /// — between cycles it is a harmless no-op re-initialization.
+  /// every channel and re-arms fused-chain sweep stamps.  Simulator::restore
+  /// calls this unconditionally — between cycles it is a harmless no-op
+  /// re-initialization.
   void recover_after_abort() noexcept;
 
   /// Visit every introspection counter of this scheduler, base counters
@@ -395,11 +222,6 @@ class SchedulerBase : public ResolveHooks {
   void on_forward_resolved(Connection& c) override { note_resolved(c); }
   void on_backward_resolved(Connection& c) override { note_resolved(c); }
 
-  /// Drop all quiescence-gating state learned from previous cycles
-  /// (Simulator::restore: cached channel values no longer describe the
-  /// restored state).
-  void invalidate_sleep_cache() noexcept { gate_.invalidate(); }
-
   /// The optimizer plan captured from the netlist at construction (null
   /// when simulating as written).
   [[nodiscard]] const OptPlan* opt_plan() const noexcept { return plan_; }
@@ -412,9 +234,9 @@ class SchedulerBase : public ResolveHooks {
   /// schedule (the compiled scheduler's start/commit tapes) can replace
   /// the generic loops.  `cycle_` is valid when they run; overrides must
   /// preserve the base loops' observable behaviour exactly (now_ stamping,
-  /// quarantine/elide/sleep skips, the end-of-cycle transfer gate).
+  /// quarantine and elide skips).
   virtual void start_phase();
-  virtual void update_phase(std::uint64_t eoc_token);
+  virtual void update_phase();
 
   /// Module::now_ is private with SchedulerBase as its friend; friendship
   /// does not extend to subclasses, so phase overrides stamp through this.
@@ -463,10 +285,9 @@ class SchedulerBase : public ResolveHooks {
   //
   // All optimizer effects are annotations on the unchanged netlist: the
   // plan tells the scheduler which channels to pre-resolve (apply_consts),
-  // which modules to skip entirely (elided), which module groups to
-  // resolve with one fused sweep (run_chain), and whether quiescence
-  // gating is on (gate_).  plan_ == nullptr restores -O0 behaviour with
-  // one branch per hot-path site.
+  // which modules to skip entirely (elided) and which module groups to
+  // resolve with one fused sweep (run_chain).  plan_ == nullptr restores
+  // -O0 behaviour with one branch per hot-path site.
 
   /// Pre-resolve all provably constant channels (top of run_cycle; module
   /// re-drives of the same values are idempotent no-ops).
@@ -489,7 +310,6 @@ class SchedulerBase : public ResolveHooks {
   };
 
   const OptPlan* plan_ = nullptr;
-  QuiescenceGate gate_;
   std::vector<ChainState> chain_state_;
   std::uint64_t opt_pre_resolved_ = 0;
 
@@ -544,10 +364,6 @@ class DynamicScheduler final : public SchedulerBase {
   [[nodiscard]] std::uint64_t worklist_pushes() const noexcept {
     return pushes_;
   }
-  /// Largest ring occupancy ever observed (capacity sizing headroom).
-  [[nodiscard]] std::size_t ring_high_water() const noexcept {
-    return high_water_;
-  }
 
  protected:
   void resolve_cycle() override;
@@ -556,7 +372,6 @@ class DynamicScheduler final : public SchedulerBase {
   void enqueue(Module* m);
   void drain();
 
-  std::vector<Module*> woken_scratch_;  // gate wake-ups pending enqueue
   std::uint64_t cycle_pops_ = 0;  // worklist pops this cycle (iteration cap)
   std::vector<Module*> ring_;  // power-of-two capacity ring buffer
   std::size_t mask_ = 0;
@@ -580,9 +395,6 @@ class AnalyzedScheduler : public SchedulerBase {
   [[nodiscard]] std::size_t largest_scc() const noexcept {
     return graph_.largest_scc();
   }
-  [[nodiscard]] std::size_t channel_count() const noexcept {
-    return graph_.nodes().size();
-  }
 
   void visit_counters(const CounterVisitor& visit) const override;
 
@@ -590,12 +402,6 @@ class AnalyzedScheduler : public SchedulerBase {
   /// iterations, summed over all SCCs); divide by cycles_run() for the
   /// per-cycle average.
   [[nodiscard]] std::uint64_t fixedpoint_passes() const noexcept;
-  /// Per-SCC cumulative fixed-point pass counts (indexed like sccs()).
-  /// Singleton SCCs without self-loops never iterate and stay zero.
-  [[nodiscard]] const std::vector<std::uint64_t>& scc_iterations()
-      const noexcept {
-    return scc_iters_;
-  }
   /// Times the global quiesce-then-default endgame had unresolved work.
   [[nodiscard]] std::uint64_t cleanup_activations() const noexcept {
     return cleanup_activations_;

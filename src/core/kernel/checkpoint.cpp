@@ -78,6 +78,24 @@ std::string ByteReader::get_string() {
   return s;
 }
 
+std::uint32_t ByteReader::get_count(std::size_t min_bytes,
+                                    std::string_view what) {
+  const std::uint32_t n = get_u32();
+  if (n > remaining() / min_bytes) {
+    throw liberty::SimulationError("implausible " + std::string(what) +
+                                   " count " + std::to_string(n));
+  }
+  return n;
+}
+
+void ByteReader::enter_payload() {
+  if (++nesting_ > kMaxNesting) {
+    throw liberty::SimulationError("checkpoint payloads nest deeper than " +
+                                   std::to_string(kMaxNesting) +
+                                   " at byte " + std::to_string(pos_));
+  }
+}
+
 std::uint32_t crc32_bytes(const void* data, std::size_t n,
                           std::uint32_t seed) {
   static const std::array<std::uint32_t, 256> table = [] {
@@ -211,7 +229,10 @@ liberty::Value decode_value(ByteReader& r) {
         throw liberty::SimulationError("unknown payload codec '" + name +
                                        "' (library not linked?)");
       }
-      return decode(r);
+      r.enter_payload();
+      liberty::Value v = decode(r);
+      r.leave_payload();
+      return v;
     }
     default:
       throw liberty::SimulationError("unknown value tag in checkpoint");
@@ -300,19 +321,23 @@ bool parse_checkpoint(std::string_view bytes, CheckpointImage& out,
       why = "crc mismatch (corrupt or torn write)";
       return false;
     }
+    // Counts come from the file, and the CRC is no defence against a
+    // crafted one: bound each by the bytes left before allocating (a
+    // module needs at least its 4-byte slot count, a slot its 1-byte tag,
+    // a trace hash 8 bytes).
     out.topology_hash = r.get_u64();
     out.snapshot.cycle = r.get_u64();
     out.snapshot.stop_requested = r.get_u8() != 0;
     out.aux_seed = r.get_u64();
     const std::uint64_t modules = r.get_u64();
-    if (modules > body_len) {  // cheap sanity bound before allocating
-      why = "implausible module count";
+    if (modules > r.remaining() / 4) {
+      why = "implausible module count " + std::to_string(modules);
       return false;
     }
     out.snapshot.module_state.clear();
     out.snapshot.module_state.reserve(modules);
     for (std::uint64_t m = 0; m < modules; ++m) {
-      const std::uint32_t slot_count = r.get_u32();
+      const std::uint32_t slot_count = r.get_count(1, "slot");
       std::vector<liberty::Value> slots;
       slots.reserve(slot_count);
       for (std::uint32_t s = 0; s < slot_count; ++s) {
@@ -321,8 +346,8 @@ bool parse_checkpoint(std::string_view bytes, CheckpointImage& out,
       out.snapshot.module_state.push_back(std::move(slots));
     }
     const std::uint64_t traces = r.get_u64();
-    if (traces > body_len) {
-      why = "implausible trace-hash count";
+    if (traces > r.remaining() / 8) {
+      why = "implausible trace-hash count " + std::to_string(traces);
       return false;
     }
     out.trace_hashes.clear();

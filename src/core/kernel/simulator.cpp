@@ -98,12 +98,10 @@ void Simulator::restore(const KernelSnapshot& snap) {
   }
   now_ = snap.cycle;
   netlist_.set_stop(snap.stop_requested);
-  // Reset every piece of in-flight kernel state: the quiescence gate's
-  // caches, backoff and asleep flags describe the pre-restore trajectory,
-  // and if the last cycle aborted mid-resolve (watchdog violation,
-  // injected fault) the channels and fused-chain sweep stamps are dirty.
-  // recover_after_abort() wipes all of it; between clean cycles it is a
-  // no-op re-initialization.
+  // Reset in-flight kernel state: if the last cycle aborted mid-resolve
+  // (watchdog violation, injected fault) the channels and fused-chain sweep
+  // stamps are dirty.  recover_after_abort() wipes both; between clean
+  // cycles it is a no-op re-initialization.
   scheduler().recover_after_abort();
 }
 

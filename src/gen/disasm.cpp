@@ -19,12 +19,8 @@ const char* op_name(Op op) noexcept {
     return "Start" #K;
     LIBERTY_GEN_START_KINDS(LIBERTY_GEN_NAME)
 #undef LIBERTY_GEN_NAME
-    case Op::StartGated:
-      return "StartGated";
     case Op::StartVirtual:
       return "StartVirtual";
-    case Op::TrySleep:
-      return "TrySleep";
     case Op::RunScc:
       return "RunScc";
     case Op::Chain:
@@ -54,8 +50,6 @@ const char* op_name(Op op) noexcept {
     return "End" #K;
     LIBERTY_GEN_COMMIT_KINDS(LIBERTY_GEN_NAME)
 #undef LIBERTY_GEN_NAME
-    case Op::EndGated:
-      return "EndGated";
     case Op::EndVirtual:
       return "EndVirtual";
     case Op::Halt:
@@ -66,12 +60,10 @@ const char* op_name(Op op) noexcept {
 
 namespace {
 
-enum class Operands { Module, ModuleConn, Conn, Sleep, Scc, Chain, None };
+enum class Operands { Module, ModuleConn, Conn, Scc, Chain, None };
 
 Operands operands_of(Op op) {
   switch (op) {
-    case Op::TrySleep:
-      return Operands::Sleep;
     case Op::RunScc:
       return Operands::Scc;
     case Op::Chain:
@@ -129,10 +121,6 @@ std::string CompiledScheduler::disassemble() const {
           out += "  [";
           out += conns[in.a]->describe();
           out += "]";
-          break;
-        case Operands::Sleep:
-          std::snprintf(buf, sizeof buf, "  scc=%u skip=%u", in.a, in.b);
-          out += buf;
           break;
         case Operands::Scc:
           std::snprintf(buf, sizeof buf, "  scc=%u", in.a);

@@ -4,7 +4,7 @@
 // bytecode.hpp once at construction and thereafter runs each cycle by
 // executing the three tapes.  It derives from AnalyzedScheduler so the
 // schedule graph, SCC fixed-point iteration (run_scc), fused-chain sweeps,
-// quiescence gate, fault seams and the generic cleanup endgame are shared
+// fault seams and the generic cleanup endgame are shared
 // with the static scheduler — the tapes replace only the per-cycle
 // interpretation of that structure (virtual hook dispatch, per-node driver
 // lookups, plan-fact branches), which is where the steady-state time goes.
@@ -44,23 +44,12 @@ class CompiledScheduler final : public liberty::core::AnalyzedScheduler {
  private:
   void start_phase() override;
   void resolve_cycle() override;
-  void update_phase(std::uint64_t eoc_token) override;
+  void update_phase() override;
 
   void lower();
   void exec(const std::vector<Instr>& tape);
 
   Program program_;
-  std::uint64_t eoc_token_ = 0;  // latched for the commit tape's EndGated
-
-  // True when the current tapes carry gate forms (TrySleep / StartGated /
-  // EndGated).  When the gate's measured cost-model guard later turns the
-  // whole gate off, those forms become dead weight on every remaining
-  // cycle, so start_phase re-lowers once against the now-disabled gate —
-  // recompiling is how a compiled backend reacts to changed facts.
-  // (Per-SCC retirement with the gate still alive does NOT re-lower: a
-  // retired SCC's TrySleep degrades to one inline test, and surviving
-  // SCCs still need their guards.)
-  bool gated_program_ = false;
 
   // True when the resolve tape provably resolves every channel on its own
   // (no RunScc ops: multi-node SCC fixed points are the one construct whose

@@ -18,7 +18,7 @@ void put_words(ByteWriter& w, const std::vector<std::int64_t>& words) {
 }
 
 std::vector<std::int64_t> get_words(ByteReader& r) {
-  const std::uint32_t n = r.get_u32();
+  const std::uint32_t n = r.get_count(8, "word");
   std::vector<std::int64_t> words;
   words.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) words.push_back(r.get_i64());

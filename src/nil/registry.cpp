@@ -26,7 +26,7 @@ void register_payload_codecs() {
       [](ByteReader& r) {
         const std::uint64_t src_mac = r.get_u64();
         const std::uint64_t dst_mac = r.get_u64();
-        const std::uint32_t n = r.get_u32();
+        const std::uint32_t n = r.get_count(8, "frame word");
         std::vector<std::int64_t> payload;
         payload.reserve(n);
         for (std::uint32_t i = 0; i < n; ++i) payload.push_back(r.get_i64());

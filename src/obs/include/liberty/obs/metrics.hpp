@@ -9,7 +9,7 @@
 //   module.<instance>.<stat>     every module's StatSet (counters,
 //                                accumulators, histograms with quantiles)
 //   scheduler.<counter>          SchedulerBase::visit_counters — worklist
-//                                pushes, fixed-point passes, sleeps...
+//                                pushes, fixed-point passes, sweeps...
 //   profile.<...>                CycleProfiler aggregates (phase seconds,
 //                                per-module react time)
 //

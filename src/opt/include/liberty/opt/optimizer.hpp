@@ -27,10 +27,6 @@
 //              pass-through modules collapse into one fused handler: a
 //              single forward sweep resolves every member's output and a
 //              single backward sweep resolves every member's ack.
-//   gate       quiescence gating (plan flag; the schedulers derive their
-//              per-SCC candidate sets).  SCCs whose sleepable drivers are
-//              quiescent and whose boundary inputs are unchanged replay
-//              last cycle's channel values without running any handler.
 //
 // Every pass is individually disableable (OptOptions); -O0 disables all,
 // -O1 enables constprop+dce, -O2 (the default) everything.
@@ -48,19 +44,18 @@ namespace liberty::opt {
 /// applied on top (so a flag can disable one pass of -O2 or enable one
 /// pass at -O0).
 struct OptOptions {
-  int level = 2;  // 0 = off, 1 = constprop+dce, 2 = +fuse+gate
+  int level = 2;  // 0 = off, 1 = constprop+dce, 2 = +fuse
 
   bool constprop = true;
   bool dce = true;
   bool fuse = true;
-  bool gate = true;
 
   /// Options with the level folded into the per-pass flags.
   [[nodiscard]] static OptOptions for_level(int level) {
     OptOptions o;
     o.level = level;
     o.constprop = o.dce = level >= 1;
-    o.fuse = o.gate = level >= 2;
+    o.fuse = level >= 2;
     return o;
   }
 };
@@ -73,8 +68,10 @@ struct OptReport {
   std::size_t elided_modules = 0;
   std::size_t fused_chains = 0;
   std::size_t fused_modules = 0;    // members across all chains
+  /// Always 0.  Kept only because perfbench (workloads.cpp) reads it into
+  /// its `opt.sleepable_modules` counter; it goes with the next benchmark
+  /// change.
   std::size_t sleepable_modules = 0;
-  bool gating = false;
 
   /// Detailed per-item lines (module/connection names), for --opt-report.
   std::string detail;
@@ -90,7 +87,7 @@ OptReport optimize(core::Netlist& netlist, const OptOptions& options = {});
 
 /// Graphviz DOT dump annotated with the attached plan's conclusions
 /// (elided modules dashed, fused chains grouped by color, constant
-/// connections dotted, sleepable modules noted).  With no plan attached
+/// connections dotted).  With no plan attached
 /// this degrades to the structure Netlist::write_dot prints.
 void write_annotated_dot(const core::Netlist& netlist, std::ostream& os);
 

@@ -77,9 +77,7 @@ std::string OptReport::summary() const {
   }
   os << "  const=" << const_forwards << "fwd+" << const_backwards << "bwd"
      << "  elided=" << elided_modules << "  chains=" << fused_chains << "("
-     << fused_modules << " modules)"
-     << "  sleepable=" << sleepable_modules
-     << (gating ? "  gating=on" : "  gating=off");
+     << fused_modules << " modules)";
   return os.str();
 }
 
@@ -92,7 +90,7 @@ OptReport optimize(Netlist& netlist, const OptOptions& options) {
   report.level = options.level;
   // Make re-optimization (e.g. tests sweeping levels) start from scratch.
   netlist.set_opt_plan(nullptr);
-  if (!options.constprop && !options.dce && !options.fuse && !options.gate) {
+  if (!options.constprop && !options.dce && !options.fuse) {
     return report;  // -O0: no plan at all; schedulers take the null path.
   }
 
@@ -334,19 +332,6 @@ OptReport optimize(Netlist& netlist, const OptOptions& options) {
     }
   }
 
-  // ---- Pass 4: quiescence gating -----------------------------------------
-  std::vector<char> sleepable(n_mod, 0);
-  bool gating = false;
-  if (options.gate) {
-    for (std::size_t i = 0; i < n_mod; ++i) {
-      if (traits[i].is_sleepable() && elided[i] == 0) {
-        sleepable[i] = 1;
-        gating = true;
-        ++report.sleepable_modules;
-      }
-    }
-  }
-
   // ---- Assemble and attach the plan --------------------------------------
   auto plan = std::make_shared<OptPlan>();
   plan->channel_const.assign(n_ch, 0);
@@ -371,24 +356,14 @@ OptReport optimize(Netlist& netlist, const OptOptions& options) {
            << (f.asserted ? "ack" : "nack") << '\n';
   }
   plan->elided = std::move(elided);
-  plan->sleepable = std::move(sleepable);
   plan->chains = std::move(chains);
   plan->chain_of_module = std::move(chain_of_module);
   plan->chain_of_channel = std::move(chain_of_channel);
-  plan->gating = gating;
 
   for (const char e : plan->elided) report.elided_modules += (e != 0);
   report.fused_chains = plan->chains.size();
   for (const OptPlan::Chain& ch : plan->chains) {
     report.fused_modules += ch.members.size();
-  }
-  report.gating = gating;
-  if (gating) {
-    for (std::size_t i = 0; i < n_mod; ++i) {
-      if (plan->sleepable[i] != 0) {
-        detail << "gate: " << modules[i]->name() << " sleepable\n";
-      }
-    }
   }
   report.detail = detail.str();
   netlist.set_opt_plan(std::move(plan));
@@ -403,11 +378,7 @@ void write_annotated_dot(const Netlist& netlist, std::ostream& os) {
   constexpr std::size_t kNumColors = sizeof(kChainColor) / sizeof(char*);
   os << "digraph netlist {\n  rankdir=LR;\n  node [shape=box];\n";
   for (const auto& m : netlist.modules()) {
-    os << "  m" << m->id() << " [label=\"" << m->name();
-    if (plan != nullptr && plan->module_sleepable(m->id())) {
-      os << "\\n(sleepable)";
-    }
-    os << "\"";
+    os << "  m" << m->id() << " [label=\"" << m->name() << "\"";
     if (plan != nullptr) {
       if (plan->module_elided(m->id())) {
         os << ", style=dashed, color=gray, fontcolor=gray";

@@ -1,6 +1,5 @@
 #include "liberty/pcl/delay.hpp"
 
-#include "liberty/core/opt.hpp"
 #include "liberty/support/error.hpp"
 
 namespace liberty::pcl {
@@ -64,19 +63,6 @@ void Delay::load_state(liberty::core::StateReader& r) {
 void Delay::declare_deps(Deps& deps) const {
   deps.state_only(out_);
   deps.state_only(in_);
-}
-
-void Delay::declare_opt(liberty::core::OptTraits& traits) const {
-  traits.sleepable();
-}
-
-bool Delay::can_sleep() const {
-  // Empty *and* nothing left this cycle: the pipeline drove idle+ack this
-  // cycle and will drive the same next cycle.  (Empty alone is not enough —
-  // the last item may have left during this end_of_cycle, in which case
-  // this cycle's drive was a send.)  Sampled before channel reset, so
-  // transferred() is still valid.
-  return items_.empty() && !out_.transferred();
 }
 
 }  // namespace liberty::pcl

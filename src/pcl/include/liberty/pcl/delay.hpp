@@ -25,8 +25,6 @@ class Delay : public liberty::core::Module {
   void cycle_start(liberty::core::Cycle c) override;
   void end_of_cycle() override;
   void declare_deps(liberty::core::Deps& deps) const override;
-  void declare_opt(liberty::core::OptTraits& traits) const override;
-  [[nodiscard]] bool can_sleep() const override;
   void save_state(liberty::core::StateWriter& w) const override;
   void load_state(liberty::core::StateReader& r) override;
 

@@ -29,8 +29,6 @@ class Sink : public liberty::core::Module {
   void end_of_cycle() override;
   void save_state(liberty::core::StateWriter& w) const override;
   void load_state(liberty::core::StateReader& r) override;
-  void declare_opt(liberty::core::OptTraits& traits) const override;
-  [[nodiscard]] bool can_sleep() const override;
 
   /// Algorithmic parameter: called for every consumed value.
   void set_consume_hook(ConsumeHook hook) { hook_ = std::move(hook); }

@@ -62,13 +62,8 @@ void Probe::declare_deps(Deps& deps) const {
 
 void Probe::declare_opt(liberty::core::OptTraits& traits) const {
   // Not stateless (count_) and not pure (stats + observer), so never
-  // elided, but the drive behaviour is a pure wire: fusable and gateable.
+  // elided, but the drive behaviour is a pure wire: fusable.
   traits.passthrough(in_, out_);
-  traits.sleepable();
-}
-
-bool Probe::can_sleep() const {
-  return true;  // drives depend only on this cycle's port signals
 }
 
 // ---------------------------------------------------------------------------
@@ -112,10 +107,7 @@ void FuncMap::declare_opt(liberty::core::OptTraits& traits) const {
   // runs; the declared transform is a copy taken here.
   traits.stateless();
   traits.pure();
-  traits.sleepable();
   traits.passthrough(in_, out_, fn_);
 }
-
-bool FuncMap::can_sleep() const { return true; }
 
 }  // namespace liberty::pcl

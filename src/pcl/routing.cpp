@@ -1,6 +1,5 @@
 #include "liberty/pcl/routing.hpp"
 
-#include "liberty/core/opt.hpp"
 #include "liberty/pcl/payloads.hpp"
 #include "liberty/support/error.hpp"
 
@@ -89,22 +88,6 @@ void Tee::load_state(liberty::core::StateReader& r) {
 void Tee::declare_deps(Deps& deps) const {
   deps.depends(out_, {fwd(in_)});
   deps.depends(in_, {bwd(out_)});
-}
-
-void Tee::declare_opt(liberty::core::OptTraits& traits) const {
-  // Not a pass-through: the input ack depends on the delivered_ bookkeeping
-  // across all branches, so Tee is gateable but never fused.
-  traits.sleepable();
-}
-
-bool Tee::can_sleep() const {
-  // delivered_ mutates only when something transferred this cycle; with no
-  // transfers the drives repeat verbatim next cycle.
-  if (in_.transferred()) return false;
-  for (std::size_t i = 0; i < out_.width(); ++i) {
-    if (out_.transferred(i)) return false;
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------

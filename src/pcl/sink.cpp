@@ -1,6 +1,5 @@
 #include "liberty/pcl/sink.hpp"
 
-#include "liberty/core/opt.hpp"
 #include "liberty/pcl/payloads.hpp"
 
 namespace liberty::pcl {
@@ -28,17 +27,6 @@ void Sink::end_of_cycle() {
     if (hook_) hook_(v, now());
   }
   if (stop_after_ != 0 && consumed_ >= stop_after_) request_stop();
-}
-
-void Sink::declare_opt(liberty::core::OptTraits& traits) const {
-  traits.sleepable();
-}
-
-bool Sink::can_sleep() const {
-  // Sink drives nothing, and a transfer into an asleep module still runs
-  // its end_of_cycle (the gate marks transfer endpoints), so stats and the
-  // stop_after trigger are preserved.
-  return true;
 }
 
 void Sink::save_state(liberty::core::StateWriter& w) const {

@@ -7,11 +7,7 @@
 // Since the kernel guarantees each channel resolves to one value per cycle
 // regardless of scheduler, and the mapping rewrites that resolution
 // input-independently, the faulty trajectory is bit-identical under
-// every scheduler at every -O level (test_resil
-// proves the full matrix).  The -O2 quiescence gate may cache and replay a
-// faulted channel's post-mapping value; replay re-drives it through the
-// seam, maps it again to the same per-cycle substitute, and stays
-// idempotent for exactly this reason.
+// every scheduler at every -O level (test_resil proves the full matrix).
 #pragma once
 
 #include <cstdint>

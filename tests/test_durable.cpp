@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -268,6 +269,113 @@ TEST(Checkpoint, BitFlipsAreRejected) {
     EXPECT_FALSE(liberty::core::parse_checkpoint(mutated, out, why))
         << "bit flip at byte " << at << " went undetected";
   }
+}
+
+/// A v1 container with a valid CRC around an arbitrary body.
+std::string craft_checkpoint(
+    const std::function<void(liberty::core::ByteWriter&)>& body) {
+  liberty::core::ByteWriter w;
+  w.put_u32(liberty::core::kCheckpointMagic);
+  w.put_u32(liberty::core::kCheckpointVersion);
+  w.put_u64(0);
+  const std::size_t body_start = w.size();
+  w.put_u64(0);  // topology hash
+  w.put_u64(0);  // cycle
+  w.put_u8(0);   // stop flag
+  w.put_u64(0);  // aux seed
+  body(w);
+  w.patch_u64(8, w.size() - body_start);
+  w.put_u32(liberty::core::crc32_bytes(w.bytes().data(), w.size()));
+  return std::move(w).take();
+}
+
+TEST(Checkpoint, OversizedCountsAreRejectedBeforeAllocating) {
+  // The CRC only catches accidents.  A crafted file declaring 2^64
+  // modules, ~2^32 slots or ~2^32 payload words must fail with a reason,
+  // not ask for the memory.
+  struct Case {
+    const char* want;
+    std::function<void(liberty::core::ByteWriter&)> body;
+  };
+  const Case cases[] = {
+      {"implausible module count",
+       [](liberty::core::ByteWriter& w) {
+         w.put_u64(~std::uint64_t{0});
+         w.put_u64(0);
+       }},
+      {"implausible slot count",
+       [](liberty::core::ByteWriter& w) {
+         w.put_u64(1);
+         w.put_u32(0xffffffffU);
+         w.put_u64(0);
+       }},
+      {"implausible trace-hash count",
+       [](liberty::core::ByteWriter& w) {
+         w.put_u64(0);
+         w.put_u64(~std::uint64_t{0} / 8);
+       }},
+      {"implausible word count",  // inside a payload codec
+       [](liberty::core::ByteWriter& w) {
+         w.put_u64(1);
+         w.put_u32(1);
+         w.put_u8(5);  // payload tag
+         w.put_string("mpl.cohmsg");
+         w.put_u8(0);  // type
+         for (int i = 0; i < 4; ++i) w.put_u64(0);  // line, src, dst, tag
+         w.put_u32(0xffffffffU);
+         w.put_u64(0);
+       }},
+  };
+  reg();  // force codec registration
+  for (const Case& c : cases) {
+    CheckpointImage out;
+    std::string why;
+    EXPECT_FALSE(
+        liberty::core::parse_checkpoint(craft_checkpoint(c.body), out, why))
+        << c.want;
+    EXPECT_NE(why.find(c.want), std::string::npos) << why;
+  }
+  // The same container with honest counts parses.
+  CheckpointImage out;
+  std::string why;
+  EXPECT_TRUE(liberty::core::parse_checkpoint(
+      craft_checkpoint([](liberty::core::ByteWriter& w) {
+        w.put_u64(1);
+        w.put_u32(1);
+        w.put_u8(0);  // one token slot
+        w.put_u64(1);
+        w.put_u64(42);
+      }),
+      out, why))
+      << why;
+  EXPECT_EQ(out.trace_hashes, std::vector<std::uint64_t>{42});
+}
+
+TEST(Checkpoint, DeepPayloadNestingIsRejectedNotAStackOverflow) {
+  // pcl.stamped carries a value, so payloads nest.  100k levels is a
+  // 1.6 MB file with a valid CRC; decoding it recursively would exhaust
+  // the stack.
+  reg();  // force codec registration
+  const auto nested = [](std::size_t depth) {
+    return craft_checkpoint([depth](liberty::core::ByteWriter& w) {
+      w.put_u64(1);
+      w.put_u32(1);
+      for (std::size_t i = 0; i < depth; ++i) {
+        w.put_u8(5);  // payload tag
+        w.put_string("pcl.stamped");
+      }
+      w.put_u8(0);  // innermost token
+      for (std::size_t i = 0; i < depth; ++i) w.put_u64(i);  // born stamps
+      w.put_u64(0);
+    });
+  };
+  CheckpointImage out;
+  std::string why;
+  EXPECT_FALSE(liberty::core::parse_checkpoint(nested(100000), out, why));
+  EXPECT_NE(why.find("nest deeper than 256"), std::string::npos) << why;
+  EXPECT_TRUE(liberty::core::parse_checkpoint(
+      nested(liberty::core::ByteReader::kMaxNesting), out, why))
+      << why;
 }
 
 TEST(Checkpoint, TopologyHashIsStructuralAndStable) {

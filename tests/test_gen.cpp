@@ -11,6 +11,7 @@
 
 #include "liberty/core/state.hpp"
 #include "liberty/gen/compiled_scheduler.hpp"
+#include "liberty/opt/optimizer.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -25,6 +26,8 @@ using liberty::core::Simulator;
 using liberty::gen::CompiledScheduler;
 using liberty::gen::Instr;
 using liberty::gen::Op;
+using liberty::pcl::Delay;
+using liberty::pcl::Probe;
 using liberty::pcl::Queue;
 using liberty::pcl::Sink;
 using liberty::pcl::Source;
@@ -65,11 +68,10 @@ TEST(GenLowering, PipelineDevirtualizesEveryStockModule) {
   EXPECT_GT(prog.devirt_ops, 0u);
 
   // Start phase: Source and Queue override cycle_start, Sink does not —
-  // two devirtualized start instructions, nothing virtual or gated.
+  // two devirtualized start instructions, nothing virtual.
   EXPECT_EQ(count_ops(prog.start, Op::StartSource), 1u);
   EXPECT_EQ(count_ops(prog.start, Op::StartQueue), 1u);
   EXPECT_EQ(count_ops(prog.start, Op::StartVirtual), 0u);
-  EXPECT_EQ(count_ops(prog.start, Op::StartGated), 0u);
   EXPECT_EQ(prog.start.size(), 3u);  // 2 starts + Halt
 
   // Commit phase: all three override end_of_cycle.
@@ -86,6 +88,33 @@ TEST(GenLowering, PipelineDevirtualizesEveryStockModule) {
   EXPECT_EQ(count_ops(prog.resolve, Op::AutoAck), 1u);
   EXPECT_EQ(count_ops(prog.resolve, Op::FwdVirtual), 0u);
   EXPECT_EQ(count_ops(prog.resolve, Op::BwdVirtual), 0u);
+}
+
+TEST(GenLowering, StatefulStockKindsDevirtualizeAtO2) {
+  // src -> delay -> probe -> sink at -O2: no plan fact routes a stock kind
+  // through a generic opcode, so every hook of all four modules lowers to
+  // its devirtualized form.
+  Netlist nl;
+  auto& src = nl.make<Source>(
+      "src", params({{"kind", "counter"}, {"count", 20}, {"period", 1}}));
+  auto& d = nl.make<Delay>("d", params({{"latency", 2}}));
+  auto& p = nl.make<Probe>("p", Params());
+  auto& sink = nl.make<Sink>("sink", Params());
+  nl.connect(src.out("out"), d.in("in"));
+  nl.connect(d.out("out"), p.in("in"));
+  nl.connect(p.out("out"), sink.in("in"));
+  nl.finalize();
+  liberty::opt::optimize(nl, liberty::opt::OptOptions::for_level(2));
+
+  CompiledScheduler sched(nl);
+  const auto& prog = sched.program();
+  EXPECT_EQ(prog.virtual_ops, 0u);
+  EXPECT_EQ(count_ops(prog.start, Op::StartDelay), 1u);
+  EXPECT_EQ(count_ops(prog.start, Op::StartVirtual), 0u);
+  EXPECT_EQ(count_ops(prog.commit, Op::EndDelay), 1u);
+  EXPECT_EQ(count_ops(prog.commit, Op::EndProbe), 1u);
+  EXPECT_EQ(count_ops(prog.commit, Op::EndSink), 1u);
+  EXPECT_EQ(count_ops(prog.commit, Op::EndVirtual), 0u);
 }
 
 TEST(GenLowering, SubclassFallsBackToVirtualOpcodes) {

@@ -291,11 +291,11 @@ TEST(Snapshot, RestoreIntoFreshNetlist) {
   EXPECT_EQ(log_b, log_a);
 }
 
-// Regression: the -O2 quiescence gate caches per-cycle resolutions and
-// replays them while a region sleeps; a restore rewinds module state
-// underneath those caches, so the kernel must invalidate all in-flight
-// scheduler state (gate caches, backoff, fused-chain stamps) on restore or
-// the replay serves stale cached values and diverges from the original.
+// Restore under -O2: fused-chain sweeps are single-shot per cycle, guarded
+// by cycle stamps, and an aborted cycle leaves channels half resolved.  The
+// kernel must reset all in-flight scheduler state (channels, chain stamps)
+// on restore, or the replay skips sweeps or reads stale channel values and
+// diverges from the original.
 TEST(Snapshot, RestoreUnderO2GatingReplaysBitIdentical) {
   for (const auto& spec : {pipeline_spec(), stochastic_spec()}) {
     Netlist netlist;
