@@ -29,7 +29,7 @@ Link::Link(const std::string& name, const Params& params)
     : Module(name),
       in_(add_in("in", AckMode::Managed, 0, 1)),
       out_(add_out("out", 0, 1)),
-      latency_(static_cast<std::uint64_t>(params.get_int("latency", 1))),
+      latency_(params.get_size("latency", 1)),
       capacity_(params.get_size("capacity", 0)),
       power_(link_power_config(params)) {
   if (latency_ == 0) {
@@ -92,7 +92,7 @@ Bus::Bus(const std::string& name, const Params& params)
     : Module(name),
       in_(add_in("in", AckMode::Managed, 1)),
       out_(add_out("out", 1)),
-      occupancy_(static_cast<std::uint64_t>(params.get_int("occupancy", 1))),
+      occupancy_(params.get_size("occupancy", 1)),
       broadcast_(params.get_bool("broadcast", true)) {
   if (occupancy_ == 0) {
     throw liberty::ElaborationError("ccl.bus '" + name +

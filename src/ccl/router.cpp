@@ -34,7 +34,7 @@ Router::Router(const std::string& name, const Params& params)
       rows_(params.get_size("rows", 1)),
       vcs_(params.get_size("vcs", 2)),
       depth_(params.get_size("depth", 4)),
-      pipeline_(static_cast<std::uint64_t>(params.get_int("pipeline", 1))),
+      pipeline_(params.get_size("pipeline", 1)),
       power_(power_config_from(params, 5, vcs_, depth_)),
       thermal_(params.get_real("ambient_c", 45.0),
                params.get_real("r_thermal", 2.0),

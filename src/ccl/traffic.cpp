@@ -16,7 +16,7 @@ TrafficGen::TrafficGen(const std::string& name, const Params& params)
       nodes_(params.get_size("nodes", 1)),
       pattern_(params.get_string("pattern", "uniform")),
       rate_(params.get_real("rate", 0.1)),
-      count_(static_cast<std::uint64_t>(params.get_int("count", 0))),
+      count_(params.get_size("count", 0)),
       fixed_dst_(params.get_size("dst", 0)),
       hotspot_(params.get_size("hotspot", 0)),
       hotspot_frac_(params.get_real("hotspot_frac", 0.5)),
@@ -120,8 +120,7 @@ void TrafficGen::load_state(liberty::core::StateReader& r) {
 TrafficSink::TrafficSink(const std::string& name, const Params& params)
     : Module(name),
       in_(add_in("in", AckMode::AutoAccept)),
-      stop_after_(
-          static_cast<std::uint64_t>(params.get_int("stop_after", 0))) {}
+      stop_after_(params.get_size("stop_after", 0)) {}
 
 void TrafficSink::end_of_cycle() {
   for (std::size_t i = 0; i < in_.width(); ++i) {

@@ -14,7 +14,7 @@ WirelessChannel::WirelessChannel(const std::string& name,
     : Module(name),
       in_(add_in("in", AckMode::Managed, 1)),
       out_(add_out("out", 1)),
-      airtime_(static_cast<std::uint64_t>(params.get_int("airtime", 8))),
+      airtime_(params.get_size("airtime", 8)),
       loss_(params.get_real("loss", 0.0)),
       rng_(static_cast<std::uint64_t>(params.get_int("seed", 1))) {
   if (airtime_ == 0) {

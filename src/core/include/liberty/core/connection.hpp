@@ -25,11 +25,10 @@
 //
 // Concurrency: none.  The kernel is single-threaded, so the channel
 // control state is plain fields and every resolve happens on the thread
-// that runs the cycle.  One thread resolving each channel exactly once is
-// also what lets the schedulers maintain the transferred-connection dirty
-// list without an end-of-cycle scan: the second of a connection's two
-// resolutions is the one that sees the completed transfer.  Transfer gates
-// must be installed before scheduler construction.
+// that runs the cycle.  At the end of each cycle the scheduler walks the
+// connections in id order, first to audit that both channels resolved and,
+// after end_of_cycle, to commit each transfer.  Transfer gates must be
+// installed before scheduler construction.
 #pragma once
 
 #include <cstdint>
@@ -237,8 +236,7 @@ class Connection {
     if (hooks_ != nullptr) hooks_->on_backward_resolved(*this);
   }
 
-  /// Count a completed transfer (scheduler end-of-cycle, from the
-  /// transferred-connection dirty list).
+  /// Count a completed transfer (scheduler end-of-cycle sweep).
   void note_transfer() noexcept { ++transfers_; }
 
   /// Clear per-cycle channel state (scheduler end-of-cycle).

@@ -49,7 +49,6 @@ struct ResolveCtx {
   std::uint64_t resolutions = 0;  // channel resolutions observed
   std::uint64_t reacts = 0;       // Module::react invocations
   std::uint64_t defaults = 0;     // kernel defaulting actions
-  std::vector<Connection*> transferred;  // dirty list: completed transfers
 
   // Profiling (active only while a KernelProbe is installed): per-module
   // react attribution, flushed to the probe and zeroed at the end of every
@@ -132,10 +131,8 @@ class FaultHook;
 /// SchedulerBase::set_iteration_cap (lss_run --max-iters).
 inline constexpr std::uint64_t kDefaultIterationCap = 1'000'000;
 
-/// True when liberty_core was compiled with LIBERTY_CHECKED_KERNEL (the
-/// full per-connection end-of-cycle audit).  The macro is private to the
-/// core library; code outside it (build fingerprints, reports) reads the
-/// build's setting through this.
+/// Always true: every build audits end-of-cycle resolution.  Only
+/// perfbench's build fingerprint reads this.
 [[nodiscard]] bool checked_kernel_enabled() noexcept;
 
 class SchedulerBase : public ResolveHooks {
@@ -151,8 +148,9 @@ class SchedulerBase : public ResolveHooks {
   SchedulerBase(const SchedulerBase&) = delete;
   SchedulerBase& operator=(const SchedulerBase&) = delete;
 
-  /// Execute one full cycle: cycle_start, resolve to fixed point, verify,
-  /// end_of_cycle, notify observers, reset channels.
+  /// Execute one full cycle: cycle_start, resolve to fixed point, verify
+  /// every connection resolved, end_of_cycle, commit transfers in
+  /// connection-id order (notifying observers), reset channels.
   void run_cycle(Cycle c);
 
   [[nodiscard]] virtual std::string_view kind_name() const = 0;
@@ -217,10 +215,10 @@ class SchedulerBase : public ResolveHooks {
     return transfers_committed_;
   }
 
-  // ResolveHooks: every scheduler counts resolutions and maintains the
-  // transferred-connection dirty list; subclasses extend as needed.
-  void on_forward_resolved(Connection& c) override { note_resolved(c); }
-  void on_backward_resolved(Connection& c) override { note_resolved(c); }
+  // ResolveHooks: every scheduler counts resolutions; subclasses extend as
+  // needed.
+  void on_forward_resolved(Connection&) override { note_resolved(); }
+  void on_backward_resolved(Connection&) override { note_resolved(); }
 
   /// The optimizer plan captured from the netlist at construction (null
   /// when simulating as written).
@@ -242,14 +240,9 @@ class SchedulerBase : public ResolveHooks {
   /// does not extend to subclasses, so phase overrides stamp through this.
   static void set_now(Module& m, Cycle c) noexcept { m.now_ = c; }
 
-  /// Record a channel resolution.  When the resolution completes a
-  /// transfer, the connection joins the dirty list: of a connection's two
-  /// resolutions only the second sees both channels asserted, so each
-  /// transfer is recorded exactly once.
-  void note_resolved(Connection& c) {
-    ++ctx_.resolutions;
-    if (c.transferred()) ctx_.transferred.push_back(&c);
-  }
+  /// Record a channel resolution (SCC convergence and the counters read
+  /// the per-cycle count).
+  void note_resolved() { ++ctx_.resolutions; }
 
   void call_react(Module& m) {
     if (any_quarantined_ && quarantined_[m.id()] != 0) return;
@@ -331,10 +324,12 @@ class SchedulerBase : public ResolveHooks {
 
   // Flattened "schedule tape": raw pointers in execution order, so the
   // per-cycle passes walk dense arrays instead of chasing unique_ptrs.
+  // conn_tape_[i]->id() == i (checked at construction): the end-of-cycle
+  // sweep commits transfers in connection-id order by walking it.
   std::vector<Module*> module_tape_;
   std::vector<Connection*> conn_tape_;
 
-  // This cycle's resolutions, reacts, defaults and dirty list.
+  // This cycle's resolutions, reacts and defaults.
   detail::ResolveCtx ctx_;
 
  private:

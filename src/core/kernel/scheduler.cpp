@@ -239,7 +239,17 @@ SchedulerBase::SchedulerBase(Netlist& netlist) : netlist_(netlist) {
   module_tape_.reserve(netlist.module_count());
   for (const auto& m : netlist.modules()) module_tape_.push_back(m.get());
   conn_tape_.reserve(netlist.connection_count());
-  for (const auto& c : netlist.connections()) conn_tape_.push_back(c.get());
+  for (const auto& c : netlist.connections()) {
+    // The end-of-cycle sweep commits in tape order, which is connection-id
+    // order only because Netlist::connect numbers connections densely.
+    if (c->id() != conn_tape_.size()) {
+      throw liberty::ElaborationError(
+          "internal: connection " + c->describe() + " has id " +
+          std::to_string(c->id()) + " at tape position " +
+          std::to_string(conn_tape_.size()));
+    }
+    conn_tape_.push_back(c.get());
+  }
   plan_ = netlist.opt_plan();
   if (plan_ != nullptr) chain_state_.resize(plan_->chains.size());
   quarantined_.assign(netlist.module_count(), 0);
@@ -273,7 +283,6 @@ void SchedulerBase::recover_after_abort() noexcept {
     st.fwd_stamp = 0;
     st.bwd_stamp = 0;
   }
-  ctx_.transferred.clear();
 }
 
 void SchedulerBase::install_hooks(ResolveHooks* h) {
@@ -417,27 +426,9 @@ void SchedulerBase::visit_counters(const CounterVisitor& visit) const {
   }
 }
 
-bool checked_kernel_enabled() noexcept {
-#if defined(LIBERTY_CHECKED_KERNEL)
-  return true;
-#else
-  return false;
-#endif
-}
+bool checked_kernel_enabled() noexcept { return true; }
 
 void SchedulerBase::verify_resolved(Cycle cycle) const {
-#if defined(LIBERTY_CHECKED_KERNEL)
-  constexpr bool kChecked = true;
-#else
-  constexpr bool kChecked = false;
-#endif
-  // Cheap always-on aggregate check: every channel resolves exactly once per
-  // cycle, so the per-cycle resolution count must be 2x the connection
-  // count.  The full per-connection audit (which also produces a precise
-  // diagnostic) runs only in checked builds or when the aggregate is off
-  // (e.g. a channel was driven outside run_cycle).
-  const std::uint64_t expected = 2 * conn_tape_.size();
-  if (ctx_.resolutions == expected && !kChecked) return;
   for (const Connection* c : conn_tape_) {
     if (!c->fully_resolved()) {
       throw liberty::SimulationError("internal: unresolved connection " +
@@ -456,7 +447,6 @@ void SchedulerBase::run_cycle(Cycle cycle) {
   ctx_.resolutions = 0;
   ctx_.reacts = 0;
   ctx_.defaults = 0;
-  ctx_.transferred.clear();
 
   // Observability: with a probe installed the cycle is timed phase by
   // phase and react() calls are attributed per module; with none, the
@@ -497,32 +487,20 @@ void SchedulerBase::run_cycle(Cycle cycle) {
   update_phase();
   if (probe != nullptr) end_phase(SchedPhase::Update);
 
-  // Commit transfers from the dirty list in canonical (connection id) order
-  // so observer streams are identical across schedulers.
-  std::vector<Connection*>& dirty = ctx_.transferred;
-  std::sort(dirty.begin(), dirty.end(),
-            [](const Connection* a, const Connection* b) {
-              return a->id() < b->id();
-            });
-#if defined(LIBERTY_CHECKED_KERNEL)
-  // Each transfer is recorded exactly once (see note_resolved); a repeat
-  // would commit it twice.
-  const auto twice = std::adjacent_find(dirty.begin(), dirty.end());
-  if (twice != dirty.end()) {
-    throw liberty::SimulationError(
-        "internal: transfer recorded twice on connection " +
-        (*twice)->describe() + " at cycle " + std::to_string(cycle));
-  }
-#endif
-  for (Connection* c : dirty) {
+  // Commit in tape (= connection id) order so observer streams are
+  // identical across schedulers, then clear every channel for the next cycle.
+  std::uint64_t committed = 0;
+  for (Connection* c : conn_tape_) {
+    if (!c->transferred()) continue;
     c->note_transfer();
     for (const auto& obs : observers_) obs(*c, cycle);
+    ++committed;
   }
 
   for (Connection* c : conn_tape_) c->reset_channels();
 
   total_resolutions_ += ctx_.resolutions;
-  transfers_committed_ += dirty.size();
+  transfers_committed_ += committed;
   ++cycles_run_;
 
   if (probe != nullptr) {
@@ -649,14 +627,14 @@ void DynamicScheduler::drain() {
 }
 
 void DynamicScheduler::on_forward_resolved(Connection& c) {
-  note_resolved(c);
+  note_resolved();
   // Default control: the consumer accepts everything offered.
   if (c.ack_mode() == AckMode::AutoAccept) apply_auto_accept(c);
   enqueue(c.consumer());
 }
 
 void DynamicScheduler::on_backward_resolved(Connection& c) {
-  note_resolved(c);
+  note_resolved();
   enqueue(c.producer());
 }
 

@@ -56,10 +56,10 @@ class CompiledScheduler final : public liberty::core::AnalyzedScheduler {
   // convergence loop needs the per-resolution hook counter).  In that mode
   // the constructor uninstalls the ResolveHooks — dropping a virtual call
   // plus the resolution bookkeeping from every channel resolution — and
-  // resolve_cycle reconstructs the counters and the transferred dirty list
-  // in one flat sweep after the tape halts, skipping the generic cleanup
-  // endgame as well.  The checked-kernel audit still verifies full
-  // resolution every cycle, so a lowering bug is loud, not silent.
+  // resolve_cycle adds the constant resolution count after the tape halts,
+  // skipping the generic cleanup endgame as well.  The base end-of-cycle
+  // audit verifies full resolution every cycle, so a lowering bug is loud,
+  // not silent.
   bool fast_resolve_ = false;
 };
 

@@ -55,13 +55,9 @@ void CompiledScheduler::resolve_cycle() {
   }
   // Hooks are uninstalled (fast_resolve_): every channel resolved exactly
   // once — pre-resolved constants, tape ops and pending-ack drains
-  // included — so the counter is a constant and the transferred
-  // dirty list falls out of one flat state sweep.  verify_resolved still
-  // audits the everything-resolved claim in checked builds.
+  // included — so the counter is a constant.  The base end-of-cycle audit
+  // checks the everything-resolved claim.
   ctx_.resolutions += 2 * static_cast<std::uint64_t>(conn_tape_.size());
-  for (core::Connection* c : conn_tape_) {
-    if (c->transferred()) ctx_.transferred.push_back(c);
-  }
 }
 
 void CompiledScheduler::update_phase() { exec(program_.commit); }

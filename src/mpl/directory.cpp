@@ -37,7 +37,7 @@ DirectoryCtl::DirectoryCtl(const std::string& name, const Params& params)
       msg_out_(add_out("msg_out", 0, 1)),
       id_num_(params.get_size("id", 0)),
       map_(home_map_from(params)),
-      latency_(static_cast<std::uint64_t>(params.get_int("latency", 12))) {}
+      latency_(params.get_size("latency", 12)) {}
 
 void DirectoryCtl::send(CohMsg::Type type, std::uint64_t line,
                         std::size_t dst, std::vector<std::int64_t> words,
@@ -315,8 +315,7 @@ DirCache::DirCache(const std::string& name, const Params& params)
              params.get_size("line_words", 4),
              upl::replacement_from_string(
                  params.get_string("replacement", "lru"))),
-      hit_latency_(
-          static_cast<std::uint64_t>(params.get_int("hit_latency", 1))),
+      hit_latency_(params.get_size("hit_latency", 1)),
       map_(home_map_from(params)) {}
 
 void DirCache::send(CohMsg::Type type, std::uint64_t line, std::size_t dst,

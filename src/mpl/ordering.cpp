@@ -19,8 +19,7 @@ OrderingCtl::OrderingCtl(const std::string& name, const Params& params)
       mem_req_(add_out("mem_req", 0, 1)),
       mem_resp_(add_in("mem_resp", AckMode::AutoAccept, 0, 1)),
       depth_(params.get_size("depth", 8)),
-      drain_delay_(
-          static_cast<std::uint64_t>(params.get_int("drain_delay", 0))) {
+      drain_delay_(params.get_size("drain_delay", 0)) {
   const std::string mode = params.get_string("mode", "tso");
   if (mode != "sc" && mode != "tso") {
     throw liberty::ElaborationError("mpl.ordering '" + name +

@@ -30,8 +30,7 @@ SnoopCache::SnoopCache(const std::string& name, const Params& params)
              params.get_size("line_words", 4),
              upl::replacement_from_string(
                  params.get_string("replacement", "lru"))),
-      hit_latency_(
-          static_cast<std::uint64_t>(params.get_int("hit_latency", 1))) {}
+      hit_latency_(params.get_size("hit_latency", 1)) {}
 
 void SnoopCache::send(CohMsg::Type type, std::uint64_t line, std::size_t dst,
                       std::vector<std::int64_t> words, bool exclusive,
@@ -276,7 +275,7 @@ SnoopMemory::SnoopMemory(const std::string& name, const Params& params)
       bus_in_(add_in("bus_in", AckMode::AutoAccept, 0, 1)),
       bus_out_(add_out("bus_out", 0, 1)),
       line_words_(params.get_size("line_words", 4)),
-      latency_(static_cast<std::uint64_t>(params.get_int("latency", 12))) {}
+      latency_(params.get_size("latency", 12)) {}
 
 void SnoopMemory::cycle_start(Cycle c) {
   if (!pending_.empty() && pending_.front().ready <= c) {

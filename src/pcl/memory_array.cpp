@@ -18,7 +18,7 @@ MemoryArray::MemoryArray(const std::string& name, const Params& params)
     : Module(name),
       req_(add_in("req", AckMode::Managed, 0)),
       resp_(add_out("resp", 0)),
-      latency_(static_cast<std::uint64_t>(params.get_int("latency", 1))),
+      latency_(params.get_size("latency", 1)),
       mshrs_(params.get_size("mshrs", 4)),
       ports_(params.get_size("ports", 1)) {
   if (latency_ == 0) {

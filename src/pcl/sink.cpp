@@ -10,7 +10,7 @@ using liberty::core::Params;
 Sink::Sink(const std::string& name, const Params& params)
     : Module(name),
       in_(add_in("in", AckMode::AutoAccept)),
-      stop_after_(static_cast<std::uint64_t>(params.get_int("stop_after", 0))) {
+      stop_after_(params.get_size("stop_after", 0)) {
 }
 
 void Sink::end_of_cycle() {

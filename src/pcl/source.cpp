@@ -15,10 +15,10 @@ Source::Source(const std::string& name, const Params& params)
       rng_(static_cast<std::uint64_t>(params.get_int("seed", 1))),
       out_(add_out("out", /*min_conns=*/0, /*max_conns=*/1)),
       kind_(params.get_string("kind", "counter")),
-      period_(static_cast<std::uint64_t>(params.get_int("period", 1))),
+      period_(params.get_size("period", 1)),
       rate_(params.get_real("rate", 0.0)),
-      count_(static_cast<std::uint64_t>(params.get_int("count", 0))),
-      start_(static_cast<std::uint64_t>(params.get_int("start", 0))),
+      count_(params.get_size("count", 0)),
+      start_(params.get_size("start", 0)),
       range_(params.get_int("range", 1024)),
       queue_depth_(params.get_size("queue_depth", 0)),
       stamp_(params.get_bool("stamp", false)) {

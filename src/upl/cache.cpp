@@ -150,7 +150,7 @@ CacheModule::CacheModule(const std::string& name, const Params& params)
              replacement_from_string(
                  params.get_string("replacement", "lru")),
              static_cast<std::uint64_t>(params.get_int("seed", 7))),
-      hit_latency_(static_cast<std::uint64_t>(params.get_int("hit_latency", 1))),
+      hit_latency_(params.get_size("hit_latency", 1)),
       mshr_limit_(params.get_size("mshrs", 4)) {
   write_allocate_ = params.get_bool("write_allocate", true);
   if (!write_allocate_) {

@@ -18,7 +18,7 @@ MemoryCtl::MemoryCtl(const std::string& name, const Params& params)
     : Module(name),
       req_(add_in("req", AckMode::Managed, 0, 1)),
       resp_(add_out("resp", 0, 1)),
-      latency_(static_cast<std::uint64_t>(params.get_int("latency", 20))),
+      latency_(params.get_size("latency", 20)),
       line_words_(params.get_size("line_words", 4)),
       bandwidth_(params.get_size("bandwidth", 1)) {
   if (latency_ == 0 || line_words_ == 0) {

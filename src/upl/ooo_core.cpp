@@ -18,16 +18,12 @@ OoOCore::OoOCore(const std::string& name, const Params& params)
       rob_size_(params.get_size("rob", 64)),
       pred_(make_predictor(params.get_string("predictor", "gshare"),
                            params.get_size("predictor_entries", 1024))),
-      mispredict_penalty_(static_cast<std::uint64_t>(
-          params.get_int("mispredict_penalty", 8))),
-      mul_latency_(
-          static_cast<std::uint64_t>(params.get_int("mul_latency", 3))),
-      div_latency_(
-          static_cast<std::uint64_t>(params.get_int("div_latency", 12))),
-      load_hit_(static_cast<std::uint64_t>(params.get_int("load_hit", 2))),
-      load_miss_(static_cast<std::uint64_t>(params.get_int("load_miss", 40))),
-      max_instrs_(
-          static_cast<std::uint64_t>(params.get_int("max_instrs", 1000000))),
+      mispredict_penalty_(params.get_size("mispredict_penalty", 8)),
+      mul_latency_(params.get_size("mul_latency", 3)),
+      div_latency_(params.get_size("div_latency", 12)),
+      load_hit_(params.get_size("load_hit", 2)),
+      load_miss_(params.get_size("load_miss", 40)),
+      max_instrs_(params.get_size("max_instrs", 1000000)),
       stop_on_halt_(params.get_bool("stop_on_halt", true)),
       dcache_(params.get_size("dcache_sets", 64),
               params.get_size("dcache_ways", 4),

@@ -282,9 +282,8 @@ void DecodeStage::declare_deps(Deps& deps) const {
 ExecuteStage::ExecuteStage(const std::string& name, const Params& params)
     : StageBase(name, params, true, true),
       resolve_(add_out("resolve", 0, 1)),
-      mul_latency_(static_cast<std::uint64_t>(params.get_int("mul_latency", 3))),
-      div_latency_(
-          static_cast<std::uint64_t>(params.get_int("div_latency", 12))) {}
+      mul_latency_(params.get_size("mul_latency", 3)),
+      div_latency_(params.get_size("div_latency", 12)) {}
 
 void ExecuteStage::cycle_start(Cycle c) {
   if (held_ && c >= ready_) {

@@ -24,19 +24,33 @@ namespace {
 
 using liberty::test::registry;
 
+/// Registry with the pcl, upl and ccl libraries.
+liberty::core::ModuleRegistry& full_registry() {
+  static liberty::core::ModuleRegistry r = [] {
+    liberty::core::ModuleRegistry reg;
+    liberty::pcl::register_pcl(reg);
+    liberty::upl::register_upl(reg);
+    liberty::ccl::register_ccl(reg);
+    return reg;
+  }();
+  return r;
+}
+
 /// Elaborate `src` and return the diagnostic it dies with ("" = accepted).
-std::string diagnostic(const std::string& src) {
+std::string diagnostic(const std::string& src,
+                       liberty::core::ModuleRegistry& reg = registry()) {
   liberty::core::Netlist netlist;
   try {
-    liberty::core::lss::build_from_lss(src, "test.lss", netlist, registry());
+    liberty::core::lss::build_from_lss(src, "test.lss", netlist, reg);
   } catch (const liberty::Error& e) {
     return e.what();
   }
   return {};
 }
 
-void expect_diag(const std::string& src, const std::string& needle) {
-  const std::string msg = diagnostic(src);
+void expect_diag(const std::string& src, const std::string& needle,
+                 liberty::core::ModuleRegistry& reg = registry()) {
+  const std::string msg = diagnostic(src, reg);
   ASSERT_FALSE(msg.empty()) << "spec was accepted:\n" << src;
   EXPECT_NE(msg.find(needle), std::string::npos)
       << "diagnostic \"" << msg << "\" lacks \"" << needle << "\"";
@@ -151,16 +165,12 @@ TEST(LssErrors, RealSpecsFitTheElaborationBudget) {
   liberty::core::lss::build_from_lss(lanes, "lanes.lss", netlist, registry());
   EXPECT_EQ(netlist.module_count(), 1024u * 6u);
 
-  liberty::core::ModuleRegistry full;
-  liberty::pcl::register_pcl(full);
-  liberty::upl::register_upl(full);
-  liberty::ccl::register_ccl(full);
   for (const char* leaf :
        {"busnet.lss", "cpu.lss", "funnel.lss", "pipeline.lss"}) {
     const std::string path =
         std::string(LIBERTY_REPO_ROOT) + "/examples/specs/" + leaf;
     liberty::core::Netlist nl;
-    liberty::core::lss::Elaborator(full).elaborate(
+    liberty::core::lss::Elaborator(full_registry()).elaborate(
         liberty::core::lss::parse_file(path), nl);
     EXPECT_GT(nl.module_count(), 0u) << leaf;
   }
@@ -223,10 +233,40 @@ TEST(LssErrors, ParamOverrideMustNameATopLevelParam) {
   EXPECT_GT(modules, default_modules);
 }
 
-// A negative size parameter must not wrap around to an unbounded size_t.
+// A negative size, latency or count must not wrap around to a huge unsigned
+// value and elaborate into a silently different model.
 TEST(LssErrors, NegativeSizeParameterIsRejected) {
-  expect_diag("instance q : pcl.queue { depth = -5; };\n",
-              "parameter 'depth' must be non-negative, got -5");
+  struct Row {
+    const char* tmpl;
+    const char* param;
+  };
+  const Row rows[] = {
+      {"pcl.queue", "depth"},
+      {"pcl.delay", "latency"},
+      {"pcl.source", "period"},
+      {"pcl.source", "count"},
+      {"pcl.source", "start"},
+      {"pcl.sink", "stop_after"},
+      {"pcl.memory_array", "latency"},
+      {"ccl.link", "latency"},
+      {"ccl.bus", "occupancy"},
+      {"ccl.router", "pipeline"},
+      {"ccl.traffic_gen", "count"},
+      {"ccl.traffic_sink", "stop_after"},
+      {"ccl.wireless", "airtime"},
+      {"upl.execute", "mul_latency"},
+      {"upl.ooo_core", "mispredict_penalty"},
+      {"upl.cache", "hit_latency"},
+      {"upl.memctl", "latency"},
+  };
+  for (const Row& r : rows) {
+    SCOPED_TRACE(std::string(r.tmpl) + "." + r.param);
+    expect_diag(std::string("instance m : ") + r.tmpl + " { " + r.param +
+                    " = -1; };\n",
+                std::string("parameter '") + r.param +
+                    "' must be non-negative, got -1",
+                full_registry());
+  }
 }
 
 TEST(LssErrors, DeclaredPortNeverExported) {

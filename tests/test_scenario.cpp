@@ -14,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "liberty/core/simulator.hpp"
@@ -36,6 +37,8 @@
 
 namespace {
 
+using liberty::core::ConnId;
+using liberty::core::Connection;
 using liberty::core::Cycle;
 using liberty::core::KernelSnapshot;
 using liberty::core::Netlist;
@@ -217,7 +220,7 @@ TEST(Scenario, ReplayIsByteIdentical) {
 // --- Exactly-once commit ----------------------------------------------------
 
 /// Counts completed transfers straight from channel state at the end of
-/// every resolve phase — independently of the scheduler's dirty list.
+/// every resolve phase — independently of the scheduler's commit sweep.
 class ResolvedTransferCounter final : public liberty::core::KernelProbe {
  public:
   explicit ResolvedTransferCounter(const Netlist& netlist)
@@ -235,9 +238,11 @@ class ResolvedTransferCounter final : public liberty::core::KernelProbe {
 
 // Every scheduler commits each transfer exactly once: its running total,
 // the per-connection counts and the transfers visible in channel state all
-// agree, on the rack and on a fuzzed netlist.  A transfer recorded twice on
-// the dirty list would double the first two but not the third.  Runs
-// without a probe are held to the probed dynamic count instead.
+// agree, on the rack and on a fuzzed netlist.  A transfer committed twice
+// would double the first two but not the third.  Runs without a probe are
+// held to the probed dynamic count instead.  Transfer observers see each
+// cycle's transfers in strictly increasing connection id, and the whole
+// (cycle, id) stream is the same in every scheduler x -O x probed cell.
 TEST(Scenario, TransfersCommittedOncePerTransfer) {
   const NetSpec rack = liberty::scenario::rack_netspec(tiny_rack());
   liberty::testing::FuzzConfig fuzz_cfg;
@@ -245,6 +250,7 @@ TEST(Scenario, TransfersCommittedOncePerTransfer) {
   const NetSpec fuzz = liberty::testing::generate_netlist(3, fuzz_cfg);
   for (const NetSpec* spec : {&rack, &fuzz}) {
     std::uint64_t reference = 0;
+    std::vector<std::pair<Cycle, ConnId>> reference_stream;
     for (const SchedulerKind kind : liberty::core::kSchedulerKinds) {
       for (const int opt_level : {0, 2}) {
         for (const bool probed : {true, false}) {
@@ -255,8 +261,18 @@ TEST(Scenario, TransfersCommittedOncePerTransfer) {
           Simulator sim(netlist, kind);
           ResolvedTransferCounter resolved(netlist);
           if (probed) sim.set_probe(&resolved);
+          std::vector<std::pair<Cycle, ConnId>> stream;
+          bool ordered = true;
+          sim.observe_transfers([&](const Connection& c, Cycle cycle) {
+            if (!stream.empty() && stream.back().first == cycle &&
+                stream.back().second >= c.id()) {
+              ordered = false;
+            }
+            stream.emplace_back(cycle, c.id());
+          });
           sim.run(spec->cycles);
           if (reference == 0) reference = resolved.count;
+          if (reference_stream.empty()) reference_stream = stream;
           std::uint64_t per_conn = 0;
           for (const auto& c : netlist.connections()) {
             per_conn += c->transfer_count();
@@ -272,6 +288,9 @@ TEST(Scenario, TransfersCommittedOncePerTransfer) {
           if (probed) {
             EXPECT_EQ(resolved.count, reference) << label;
           }
+          EXPECT_TRUE(ordered) << label;
+          EXPECT_EQ(stream.size(), reference) << label;
+          EXPECT_TRUE(stream == reference_stream) << label;
         }
       }
     }

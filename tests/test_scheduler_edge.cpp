@@ -4,8 +4,11 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "liberty/core/scheduler.hpp"
+#include "liberty/support/error.hpp"
 #include "liberty/testing/netspec.hpp"
 #include "liberty/testing/oracle.hpp"
 #include "test_util.hpp"
@@ -95,6 +98,58 @@ TEST(SchedulerEdge, RunIsReentrantAfterStop) {
     EXPECT_LT(second, 100u);
     EXPECT_EQ(sim.now(), first + second);
   }
+}
+
+/// A scheduler whose resolve phase does nothing: channels that only react()
+/// or the kernel's defaults would drive stay unresolved.
+class NoResolveScheduler : public liberty::core::SchedulerBase {
+ public:
+  using SchedulerBase::SchedulerBase;
+  [[nodiscard]] std::string_view kind_name() const override {
+    return "no-resolve";
+  }
+
+ private:
+  void resolve_cycle() override {}
+};
+
+TEST(SchedulerEdge, EndOfCycleAuditRejectsUnresolvedConnection) {
+  // Whatever cycle_start leaves open must be reported, naming the first
+  // open connection, before anything is committed.
+  liberty::testing::NetSpec spec;
+  spec.modules.push_back({"pcl.source", "src",
+                          params({{"kind", Value(std::string("counter"))},
+                                  {"period", Value(std::int64_t{1})}})});
+  spec.modules.push_back(
+      {"pcl.queue", "q", params({{"depth", Value(std::int64_t{2})}})});
+  spec.modules.push_back({"pcl.sink", "snk", {}});
+  spec.edges.push_back({0, "out", 1, "in"});
+  spec.edges.push_back({1, "out", 2, "in"});
+  Netlist netlist;
+  spec.build(netlist, registry());
+
+  NoResolveScheduler sched(netlist);
+  try {
+    sched.run_cycle(3);
+    FAIL() << "an unresolved connection passed the end-of-cycle audit";
+  } catch (const liberty::SimulationError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("internal: unresolved connection"), std::string::npos)
+        << msg;
+    // The aborted cycle's channel state is still in place.
+    const Connection* open = nullptr;
+    for (const auto& c : netlist.connections()) {
+      if (!c->fully_resolved()) {
+        open = c.get();
+        break;
+      }
+    }
+    ASSERT_NE(open, nullptr);
+    EXPECT_NE(msg.find(open->describe()), std::string::npos) << msg;
+    EXPECT_NE(msg.find("at end of cycle 3"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(sched.transfers_committed(), 0u);
+  EXPECT_EQ(sched.cycles_run(), 0u);
 }
 
 }  // namespace
