@@ -163,6 +163,9 @@ class Module {
   void request_stop() noexcept;
 
  protected:
+  /// The netlist this module was added to (nullptr before Netlist::add).
+  [[nodiscard]] Netlist* netlist() const noexcept { return netlist_; }
+
   /// Create ports.  Called from constructors of concrete modules.
   Port& add_in(std::string name, AckMode default_ack = AckMode::Managed,
                std::size_t min_conns = 0,
@@ -177,7 +180,7 @@ class Module {
   std::string name_;
   ModuleId id_ = 0;
   Cycle now_ = 0;
-  bool* stop_flag_ = nullptr;
+  Netlist* netlist_ = nullptr;
   std::vector<std::unique_ptr<Port>> ports_;
   liberty::StatSet stats_;
 };

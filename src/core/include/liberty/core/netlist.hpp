@@ -7,10 +7,12 @@
 #pragma once
 
 #include <cstddef>
+#include <map>
 #include <memory>
-#include <unordered_map>
 #include <ostream>
 #include <string>
+#include <typeindex>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -118,6 +120,18 @@ class Netlist {
     return opt_plan_.get();
   }
 
+  /// The T that this netlist's modules share under `key`, made on first
+  /// request.  Modules elaborated from LSS cannot hand each other C++
+  /// objects, so they rendezvous here (upl pipeline stages find their
+  /// core's state by its "core" parameter).  The object lives as long as
+  /// the netlist or its last holder, and no other netlist sees it.
+  template <typename T>
+  std::shared_ptr<T> shared(const std::string& key) {
+    std::shared_ptr<void>& slot = shared_[{std::type_index(typeid(T)), key}];
+    if (slot == nullptr) slot = std::make_shared<T>();
+    return std::static_pointer_cast<T>(slot);
+  }
+
  private:
   friend class SchedulerBase;
 
@@ -128,6 +142,8 @@ class Netlist {
   std::vector<std::unique_ptr<Connection>> conns_;
   std::vector<char> quarantined_;  // by ModuleId; empty until first use
   std::shared_ptr<const OptPlan> opt_plan_;
+  std::map<std::pair<std::type_index, std::string>, std::shared_ptr<void>>
+      shared_;
 };
 
 }  // namespace liberty::core

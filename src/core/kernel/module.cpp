@@ -1,5 +1,6 @@
 #include "liberty/core/module.hpp"
 
+#include "liberty/core/netlist.hpp"
 #include "liberty/support/error.hpp"
 
 namespace liberty::core {
@@ -53,7 +54,7 @@ Port& Module::add_out(std::string name, std::size_t min_conns,
 }
 
 void Module::request_stop() noexcept {
-  if (stop_flag_ != nullptr) *stop_flag_ = true;
+  if (netlist_ != nullptr) netlist_->set_stop(true);
 }
 
 }  // namespace liberty::core

@@ -30,7 +30,7 @@ Module& Netlist::add(std::unique_ptr<Module> m) {
                                     m->name() + "'");
   }
   m->id_ = modules_.size();
-  m->stop_flag_ = &stop_flag_;
+  m->netlist_ = this;
   by_name_.emplace(m->name(), m.get());
   modules_.push_back(std::move(m));
   return *modules_.back();

@@ -64,10 +64,11 @@ class CompiledScheduler final : public liberty::core::AnalyzedScheduler {
 };
 
 /// Make SchedulerKind::Compiled constructible: installs this backend's
-/// factory into liberty_core's registration seam.  Idempotent; front ends
-/// call it explicitly before building a Simulator because core cannot link
-/// against gen (gen depends on the component libraries) and static-library
-/// global initializers are not reliably pulled in.
+/// factory into liberty_core's registration seam on the first call; later
+/// calls, from any thread, write nothing.  Front ends call it explicitly
+/// before building a Simulator because core cannot link against gen (gen
+/// depends on the component libraries) and static-library global
+/// initializers are not reliably pulled in.
 void ensure_registered();
 
 }  // namespace liberty::gen

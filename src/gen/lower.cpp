@@ -166,10 +166,16 @@ void CompiledScheduler::visit_counters(const CounterVisitor& visit) const {
 }
 
 void ensure_registered() {
-  core::set_compiled_scheduler_factory(
-      [](core::Netlist& netlist) -> std::unique_ptr<core::SchedulerBase> {
-        return std::make_unique<CompiledScheduler>(netlist);
-      });
+  // Installed once: callers on several threads (concurrent run_oracle
+  // calls) must not race on the factory the Simulator constructor reads.
+  static const bool registered = [] {
+    core::set_compiled_scheduler_factory(
+        [](core::Netlist& netlist) -> std::unique_ptr<core::SchedulerBase> {
+          return std::make_unique<CompiledScheduler>(netlist);
+        });
+    return true;
+  }();
+  (void)registered;
 }
 
 }  // namespace liberty::gen

@@ -24,7 +24,7 @@ namespace liberty::pcl {
 ///               period == 0)                                 [0.0]
 ///   count       stop after this many values (0 = unlimited)  [0]
 ///   start       first cycle at which emission may occur      [0]
-///   range       value range for kind=random                  [1024]
+///   range       value range for kind=random, >= 1            [1024]
 ///   seed        RNG seed                                     [1]
 ///   queue_depth backlog capacity for open-loop injection; arrivals
 ///               beyond it are counted as dropped (0 = unbounded) [0]
@@ -62,7 +62,7 @@ class Source : public liberty::core::Module {
   double rate_;
   std::uint64_t count_;
   std::uint64_t start_;
-  std::int64_t range_;
+  std::uint64_t range_;
   std::size_t queue_depth_;
   bool stamp_;
 

@@ -19,7 +19,7 @@ Source::Source(const std::string& name, const Params& params)
       rate_(params.get_real("rate", 0.0)),
       count_(params.get_size("count", 0)),
       start_(params.get_size("start", 0)),
-      range_(params.get_int("range", 1024)),
+      range_(params.get_size("range", 1024)),
       queue_depth_(params.get_size("queue_depth", 0)),
       stamp_(params.get_bool("stamp", false)) {
   if (kind_ != "counter" && kind_ != "token" && kind_ != "random") {
@@ -30,11 +30,18 @@ Source::Source(const std::string& name, const Params& params)
     throw liberty::ElaborationError(
         "pcl.source '" + name + "': need period >= 1 or rate > 0");
   }
+  if (range_ == 0) {
+    throw liberty::ElaborationError("pcl.source '" + name +
+                                    "': range must be >= 1");
+  }
 }
 
 liberty::Value Source::make_value(std::uint64_t seq) {
   if (kind_ == "counter") return liberty::Value(static_cast<std::int64_t>(seq));
-  if (kind_ == "random") return liberty::Value(rng_.range(0, range_ - 1));
+  if (kind_ == "random") {
+    return liberty::Value(
+        rng_.range(0, static_cast<std::int64_t>(range_) - 1));
+  }
   return liberty::Value();  // token
 }
 

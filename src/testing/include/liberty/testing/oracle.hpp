@@ -4,18 +4,28 @@
 // candidate (by default static and compiled -O0/-O2) must match it
 // exactly.  The oracle runs in two phases:
 //
-//   1. Coarse, streaming: each simulator runs the full cycle budget alone.
-//      At every `snapshot_every`-cycle window boundary it folds the
-//      window's completed transfers into a trace hash and the kernel state
-//      into a state digest (Simulator::state_digest).  The reference keeps
-//      only those per-window pairs and its final stats dump; each candidate
-//      compares window by window as it runs and stops at its first
-//      mismatch.  No snapshot outlives its window, so memory does not grow
-//      with the cycle budget.  A candidate that agrees in every window must
-//      also produce the same stats dump.
-//   2. Bisect: the first disagreeing window brackets the bug.  Each side
-//      is replayed from cycle 0 to the window's start (the last agreeing
-//      boundary), snapshotted there, and restored into a fresh simulator
+//   1. Coarse, streaming, all at once: the calling thread builds every
+//      simulator (reference first, then the candidates in order), then the
+//      reference and every candidate run the full cycle budget at the same
+//      time, on min(hardware threads, simulators) threads, the calling
+//      thread among them.  At every `snapshot_every`-cycle window boundary
+//      each simulator folds the window's completed transfers into a trace
+//      hash and the kernel state into a state digest
+//      (Simulator::state_digest), and keeps only that pair; at the end it
+//      keeps its stats dump.  No snapshot outlives its window, so memory
+//      grows only by one pair per window.  After the join each candidate
+//      is compared with the reference in candidate order: its first
+//      disagreeing window decides the verdict, and a candidate that agrees
+//      in every window must also produce the same stats dump.  There is no
+//      early stop, so a divergent candidate still runs its full budget.
+//      If a set-up or run throws, the first one in order (reference, then
+//      the candidates) is rethrown, unless that candidate had already
+//      diverged before it threw: the outcome is the one a one-at-a-time run
+//      would give.
+//   2. Bisect, on the calling thread, one candidate at a time: the first
+//      disagreeing window brackets the bug.  Each side is replayed from
+//      cycle 0 to the window's start (the last agreeing boundary),
+//      snapshotted there, and restored into a fresh simulator
 //      (exercising Simulator::restore for real); the two are then replayed
 //      in lockstep — one cycle at a time, comparing the transfer record and
 //      every module's state digest — until the exact divergent cycle and

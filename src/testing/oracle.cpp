@@ -1,10 +1,13 @@
 #include "liberty/testing/oracle.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 #include "liberty/core/state.hpp"
@@ -69,39 +72,69 @@ Cycle window_end(std::size_t w, Cycle every, Cycle cycles) {
   return std::min<Cycle>((w + 1) * every, cycles);
 }
 
-/// Coarse phase for one simulator: run the full cycle budget, and at every
-/// window boundary fold the state digest and hand the window's check to
-/// `at_boundary(window, check)`, which stops the run by returning false.
-/// Nothing outlives its window.  Returns the final stats dump, or nullopt
-/// when stopped early.
-template <class AtBoundary>
-std::optional<std::string> run_coarse(
-    const NetSpec& spec, const liberty::core::ModuleRegistry& registry,
-    const Candidate& who, const OracleConfig& config, Cycle every,
-    AtBoundary at_boundary) {
-  Rig rig(spec, registry, who, config.fault_plan);
-  // With config.profile the probe rides along purely to prove it cannot
-  // perturb the comparison; its aggregates are discarded.
-  liberty::obs::CycleProfiler prof;
-  if (config.profile) rig.sim->set_probe(&prof);
+/// What one simulator's coarse phase leaves for the comparison: every
+/// window's check and the final stats dump, or the exception that ended
+/// its set-up or its run (with the checks of the windows it completed).
+struct CoarseRun {
+  std::vector<WindowCheck> windows;
+  std::string stats;
+  std::exception_ptr error;
+};
 
-  WindowCheck check;
-  rig.sim->observe_transfers([&check](const Connection& c, Cycle cycle) {
-    check.trace =
-        liberty::resil::mix_transfer(fnv1a_mix(check.trace, cycle), c);
-  });
-  std::size_t window = 0;
-  for (Cycle c = 0; c < spec.cycles; ++c) {
-    rig.sim->step();
-    if (c + 1 == window_end(window, every, spec.cycles)) {
-      check.state = rig.sim->state_digest();
-      if (!at_boundary(window++, check)) return std::nullopt;
-      check = WindowCheck{};
+/// Coarse phase for one simulator: run the full cycle budget, and at every
+/// window boundary fold the state digest into the window's check.  Nothing
+/// but the checks outlives its window.
+void run_coarse(Rig& rig, Cycle cycles, Cycle every, bool profile,
+                CoarseRun& out) noexcept {
+  try {
+    // With `profile` the probe rides along purely to prove it cannot
+    // perturb the comparison; its aggregates are discarded.
+    liberty::obs::CycleProfiler prof;
+    if (profile) rig.sim->set_probe(&prof);
+
+    WindowCheck check;
+    rig.sim->observe_transfers([&check](const Connection& c, Cycle cycle) {
+      check.trace =
+          liberty::resil::mix_transfer(fnv1a_mix(check.trace, cycle), c);
+    });
+    for (Cycle c = 0; c < cycles; ++c) {
+      rig.sim->step();
+      if (c + 1 == window_end(out.windows.size(), every, cycles)) {
+        check.state = rig.sim->state_digest();
+        out.windows.push_back(check);
+        check = WindowCheck{};
+      }
+    }
+    std::ostringstream oss;
+    rig.netlist.dump_stats(oss);
+    out.stats = std::move(oss).str();
+  } catch (...) {
+    out.error = std::current_exception();
+  }
+}
+
+/// Call job(i) for every i in [0, n) on min(hardware threads, n) threads,
+/// the calling thread among them; returns once every job is done.  `job`
+/// must not throw.  A thread that cannot be started leaves its share to
+/// the others.
+template <class Job>
+void run_all(std::size_t n, const Job& job) {
+  const std::size_t threads = std::min<std::size_t>(
+      n, std::max(1U, std::thread::hardware_concurrency()));
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&] {
+    for (std::size_t i = next++; i < n; i = next++) job(i);
+  };
+  std::vector<std::jthread> pool;
+  pool.reserve(threads);
+  for (std::size_t t = 1; t < threads; ++t) {
+    try {
+      pool.emplace_back(worker);
+    } catch (const std::system_error&) {
+      break;
     }
   }
-  std::ostringstream oss;
-  rig.netlist.dump_stats(oss);
-  return oss.str();
+  worker();
 }
 
 /// The kernel state `who` reaches at cycle `at`, replayed from cycle 0.
@@ -245,37 +278,56 @@ OracleResult run_oracle(const NetSpec& spec,
 
   const Cycle every =
       config.snapshot_every == 0 ? 16 : config.snapshot_every;
-  // The reference keeps only each window's check and the stats dump; every
-  // candidate is compared against them on the spot.
-  std::vector<WindowCheck> ref_windows;
-  const std::string ref_stats = *run_coarse(
-      spec, registry, kReference, config, every,
-      [&ref_windows](std::size_t, const WindowCheck& check) {
-        ref_windows.push_back(check);
-        return true;
-      });
 
+  // Set-up stays on this thread: builds of one spec share its Params (whose
+  // read tracking is not thread-safe).  A set-up that throws ends set-up
+  // there, since no simulator after it can decide the outcome.
+  std::vector<Candidate> order{kReference};
+  order.insert(order.end(), candidates.begin(), candidates.end());
+  std::vector<CoarseRun> runs(order.size());
+  std::vector<std::unique_ptr<Rig>> rigs;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    try {
+      rigs.push_back(std::make_unique<Rig>(spec, registry, order[i],
+                                           config.fault_plan));
+    } catch (...) {
+      runs[i].error = std::current_exception();
+      runs.resize(i + 1);
+      break;
+    }
+  }
+
+  // The reference and every candidate run at once; each keeps all of its
+  // window checks, since the reference's are not known until the join.
+  run_all(rigs.size(), [&](std::size_t i) {
+    run_coarse(*rigs[i], spec.cycles, every, config.profile, runs[i]);
+    rigs[i].reset();
+  });
+
+  // Compare in candidate order, as if the simulators had run one after
+  // another: the reference's error comes first, and a candidate's error
+  // counts only if it agreed in every window it completed.
+  const CoarseRun& ref = runs.front();
+  if (ref.error) std::rethrow_exception(ref.error);
   OracleResult result;
-  for (const Candidate& cand : candidates) {
-    // Only the first disagreeing window decides the verdict, so the
-    // candidate stops there.
-    std::size_t bad_window = ref_windows.size();
-    const std::optional<std::string> stats = run_coarse(
-        spec, registry, cand, config, every,
-        [&](std::size_t w, const WindowCheck& check) {
-          if (check == ref_windows[w]) return true;
-          bad_window = w;
-          return false;
-        });
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    const Candidate& cand = order[i];
+    const CoarseRun& run = runs[i];
+    const std::size_t bad_window = static_cast<std::size_t>(
+        std::mismatch(run.windows.begin(), run.windows.end(),
+                      ref.windows.begin(), ref.windows.end())
+            .first -
+        run.windows.begin());
 
-    if (stats.has_value()) {
-      if (*stats == ref_stats) continue;  // candidate agrees
+    if (bad_window == run.windows.size()) {
+      if (run.error) std::rethrow_exception(run.error);
+      if (run.stats == ref.stats) continue;  // candidate agrees
       Divergence d;
       d.candidate = cand;
       d.detail = "stats dump differs between dynamic and " +
                  cand.describe() +
                  " although transfers and state agree:\n--- dynamic\n" +
-                 ref_stats + "--- candidate\n" + *stats;
+                 ref.stats + "--- candidate\n" + run.stats;
       result.ok = false;
       result.divergences.push_back(std::move(d));
       continue;

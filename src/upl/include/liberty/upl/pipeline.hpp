@@ -20,7 +20,8 @@
 //
 // Stages share architectural state through a CoreState object; when built
 // from LSS (where modules cannot share C++ objects directly) the stages
-// rendezvous on the CoreHub under their "core" parameter.
+// rendezvous on their netlist (Netlist::shared) under their "core"
+// parameter.
 #pragma once
 
 #include <array>
@@ -112,16 +113,6 @@ struct Resolution final : Payload {
   }
 };
 
-/// Rendezvous for LSS-built cores: stages that share a "core" parameter get
-/// the same CoreState.  C++ builders can also use it, or wire states
-/// directly via set_state().
-class CoreHub {
- public:
-  static std::shared_ptr<CoreState> get(const std::string& core_name);
-  /// Drop all registered cores (between independent simulations/tests).
-  static void reset();
-};
-
 namespace detail {
 /// Common scaffolding for single-in/single-out pipeline stages holding one
 /// instruction: offers the processed held token each cycle and accepts a
@@ -136,18 +127,20 @@ class StageBase : public liberty::core::Module {
     return state_;
   }
 
-  /// Stages are unusable without shared core state.
+  /// Stages without a set_state() state take the one their netlist shares
+  /// under the "core" parameter; stages with neither are unusable.
   void init() override;
 
  protected:
   std::shared_ptr<CoreState> state_;
+  std::string core_;  // "core" parameter: the rendezvous key
   liberty::core::Port* in_ = nullptr;
   liberty::core::Port* out_ = nullptr;
 };
 }  // namespace detail
 
 /// Fetch: program counter, branch prediction, squash handling.
-/// Parameters: core (hub key), predictor ("taken"|"not_taken"|"bimodal"|
+/// Parameters: core (rendezvous key), predictor ("taken"|"not_taken"|"bimodal"|
 /// "gshare"|"tournament"), btb_entries, program (LRISC asm text; optional —
 /// C++ builders usually install the program into CoreState directly).
 class FetchStage final : public detail::StageBase {

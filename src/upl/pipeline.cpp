@@ -1,7 +1,5 @@
 #include "liberty/upl/pipeline.hpp"
 
-#include <map>
-
 #include "liberty/pcl/payloads.hpp"
 #include "liberty/support/error.hpp"
 
@@ -56,28 +54,6 @@ std::shared_ptr<InstrToken> clone(const InstrToken& t) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// CoreHub
-// ---------------------------------------------------------------------------
-
-namespace {
-std::map<std::string, std::shared_ptr<CoreState>>& hub_map() {
-  static std::map<std::string, std::shared_ptr<CoreState>> m;
-  return m;
-}
-}  // namespace
-
-std::shared_ptr<CoreState> CoreHub::get(const std::string& core_name) {
-  auto& m = hub_map();
-  auto it = m.find(core_name);
-  if (it == m.end()) {
-    it = m.emplace(core_name, std::make_shared<CoreState>()).first;
-  }
-  return it->second;
-}
-
-void CoreHub::reset() { hub_map().clear(); }
-
-// ---------------------------------------------------------------------------
 // StageBase
 // ---------------------------------------------------------------------------
 
@@ -85,14 +61,14 @@ namespace detail {
 
 StageBase::StageBase(const std::string& name, const Params& params,
                      bool has_in, bool has_out)
-    : Module(name) {
+    : Module(name), core_(params.get_string("core", "")) {
   if (has_in) in_ = &add_in("in", AckMode::Managed, 0, 1);
   if (has_out) out_ = &add_out("out", 0, 1);
-  const std::string core = params.get_string("core", "");
-  if (!core.empty()) state_ = CoreHub::get(core);
 }
 
 void StageBase::init() {
+  // init() runs from Netlist::finalize, so netlist() is set.
+  if (!state_ && !core_.empty()) state_ = netlist()->shared<CoreState>(core_);
   if (!state_) {
     throw liberty::ElaborationError(
         "pipeline stage '" + name() +

@@ -1,18 +1,23 @@
 // The differential harness under test: fuzzer determinism, oracle
 // agreement on healthy schedulers, fault injection caught and bisected,
-// and shrinking.  The 500-seed sweep lives in test_fuzz_stress.cpp under
-// the `fuzz` CTest label.
+// shrinking, and the oracle's concurrent coarse phase giving the same
+// outcome on every call.  The 500-seed sweep lives in test_fuzz_stress.cpp
+// under the `fuzz` CTest label.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "liberty/ccl/ccl.hpp"
 #include "liberty/core/scheduler.hpp"
 #include "liberty/resil/fault_plan.hpp"
+#include "liberty/scenario/rack.hpp"
+#include "liberty/support/error.hpp"
 #include "liberty/testing/fuzzer.hpp"
 #include "liberty/testing/netspec.hpp"
 #include "liberty/testing/oracle.hpp"
 #include "liberty/testing/shrink.hpp"
+#include "liberty/upl/upl.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -58,6 +63,18 @@ FaultPlan scheduler_fault(const std::string& scheduler,
   f.scheduler = scheduler;
   plan.faults.push_back(std::move(f));
   return plan;
+}
+
+/// A fault that makes module `module` throw from `cycle` on, only when
+/// simulating under `scheduler`.
+FaultSpec handler_throw(const std::string& scheduler,
+                        liberty::core::Cycle cycle, const std::string& module) {
+  FaultSpec f;
+  f.cls = FaultClass::HandlerThrow;
+  f.module = module;
+  f.from_cycle = cycle;
+  f.scheduler = scheduler;
+  return f;
 }
 
 /// src -> queue -> sink; transfers every cycle, never quiesces, so a fault
@@ -244,6 +261,198 @@ TEST(Shrink, NeverReturnsAPassingSpec) {
       << reduced.render();
   EXPECT_EQ(reduced.modules.size(), spec.modules.size());
   EXPECT_LT(reduced.cycles, spec.cycles);
+}
+
+// ---------------------------------------------------------------------------
+// The concurrent coarse phase.  run_oracle builds every simulator on the
+// calling thread and runs them at once; these tests (also the ThreadSanitizer
+// job's) require each outcome to be the same on every call.  Every call gets
+// a spec made fresh, never built before, so a race on what the first build
+// writes would show.
+// ---------------------------------------------------------------------------
+
+/// Everything a caller can read from an oracle result, as one string.
+std::string outcome(const OracleResult& r) {
+  std::string out = r.ok ? "ok\n" : "failed\n";
+  for (const liberty::testing::Divergence& d : r.divergences) {
+    out += d.candidate.describe() + " @" +
+           std::to_string(d.first_divergent_cycle) + " [";
+    for (const std::string& m : d.modules) out += m + " ";
+    out += "]\n" + d.detail + "\n";
+  }
+  return out + r.report();
+}
+
+constexpr int kRepeats = 3;
+
+/// Run the oracle kRepeats times, each on a fresh `make()`, require equal
+/// outcomes, and return the first result.
+template <class MakeSpec>
+OracleResult run_repeated(const MakeSpec& make,
+                          const liberty::core::ModuleRegistry& reg,
+                          const OracleConfig& cfg) {
+  const OracleResult first = run_oracle(make(), reg, cfg);
+  for (int i = 1; i < kRepeats; ++i) {
+    EXPECT_EQ(outcome(run_oracle(make(), reg, cfg)), outcome(first))
+        << "call " << i;
+  }
+  return first;
+}
+
+/// The message of the exception run_oracle throws on a fresh
+/// pipeline_spec(), equal on every call.
+std::string thrown_repeated(const OracleConfig& cfg) {
+  std::vector<std::string> messages;
+  for (int i = 0; i < kRepeats; ++i) {
+    try {
+      (void)run_oracle(pipeline_spec(), fuzz_registry(), cfg);
+      messages.push_back("(no exception)");
+    } catch (const liberty::SimulationError& e) {
+      messages.push_back(e.what());
+    }
+  }
+  for (const std::string& m : messages) EXPECT_EQ(m, messages.front());
+  return messages.front();
+}
+
+TEST(OracleEnsemble, FuzzRacksAgree) {
+  liberty::core::ModuleRegistry reg;
+  liberty::scenario::register_rack_libraries(reg);
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    const auto make = [seed] {
+      NetSpec spec = liberty::scenario::fuzz_rack_netspec(seed);
+      spec.cycles = 300;
+      return spec;
+    };
+    const OracleResult r = run_repeated(make, reg, OracleConfig{});
+    EXPECT_TRUE(r.ok) << "rack seed " << seed << "\n" << r.report();
+    EXPECT_EQ(r.report(), "all schedulers agree");
+  }
+  const auto fuzzed = [] { return generate_netlist(3, FuzzConfig{}); };
+  EXPECT_TRUE(run_repeated(fuzzed, fuzz_registry(), OracleConfig{}).ok);
+}
+
+TEST(OracleEnsemble, RestrictedFaultBisectsToItsCycle) {
+  const FaultPlan plan = scheduler_fault("static", 50, 1);
+  OracleConfig cfg;
+  cfg.fault_plan = &plan;
+  const OracleResult r = run_repeated(pipeline_spec, fuzz_registry(), cfg);
+  ASSERT_FALSE(r.ok);
+  ASSERT_EQ(r.divergences.size(), 1u) << r.report();
+  const liberty::testing::Divergence& d = r.divergences.front();
+  EXPECT_EQ(d.candidate.kind, SchedulerKind::Static);
+  EXPECT_EQ(d.first_divergent_cycle, 50u) << d.detail;
+  EXPECT_FALSE(d.modules.empty());
+  EXPECT_NE(d.detail.find("cycle 50"), std::string::npos) << d.detail;
+}
+
+TEST(OracleEnsemble, BisectDisabledReportsTheWindow) {
+  // Both compiled candidates fault at cycle 30, inside window [16, 32).
+  const FaultPlan plan = scheduler_fault("compiled", 30, 1);
+  OracleConfig cfg;
+  cfg.fault_plan = &plan;
+  cfg.bisect = false;
+  const OracleResult r = run_repeated(pipeline_spec, fuzz_registry(), cfg);
+  ASSERT_FALSE(r.ok);
+  ASSERT_EQ(r.divergences.size(), 2u) << r.report();
+  EXPECT_EQ(r.report(),
+            "dynamic and compiled diverge in window ending at cycle 32 "
+            "(bisection disabled)\n"
+            "dynamic and compiled-O2 diverge in window ending at cycle 32 "
+            "(bisection disabled)\n");
+  for (const liberty::testing::Divergence& d : r.divergences) {
+    EXPECT_EQ(d.first_divergent_cycle, 32u);
+    EXPECT_TRUE(d.modules.empty());
+  }
+}
+
+TEST(OracleEnsemble, ThrowingCandidateRethrowsInCandidateOrder) {
+  // Only the compiled candidates throw; their error reaches the caller.
+  FaultPlan compiled;
+  compiled.faults.push_back(handler_throw("compiled", 40, "q"));
+  OracleConfig cfg;
+  cfg.fault_plan = &compiled;
+  EXPECT_EQ(thrown_repeated(cfg),
+            "injected handler fault: module 'q' failed at cycle 40");
+
+  // The compiled candidates throw first in time, but static comes first in
+  // candidate order, so its error is the one raised.
+  FaultPlan both = compiled;
+  both.faults.front().from_cycle = 20;
+  both.faults.push_back(handler_throw("static", 60, "q"));
+  cfg.fault_plan = &both;
+  EXPECT_EQ(thrown_repeated(cfg),
+            "injected handler fault: module 'q' failed at cycle 60");
+
+  // The reference's error comes before every candidate's.
+  FaultPlan reference = both;
+  reference.faults.push_back(handler_throw("dynamic", 70, "q"));
+  cfg.fault_plan = &reference;
+  EXPECT_EQ(thrown_repeated(cfg),
+            "injected handler fault: module 'q' failed at cycle 70");
+}
+
+TEST(OracleEnsemble, CandidateThatDivergesBeforeItThrowsIsADivergence) {
+  // Static drops an ack from cycle 10 and throws from cycle 100: its first
+  // window already disagrees, so the verdict is the divergence, as it is
+  // when the candidate stops at its first disagreeing window.
+  FaultPlan plan = scheduler_fault("static", 10, 1);
+  plan.faults.push_back(handler_throw("static", 100, "q"));
+  OracleConfig cfg;
+  cfg.fault_plan = &plan;
+  const OracleResult r = run_repeated(pipeline_spec, fuzz_registry(), cfg);
+  ASSERT_FALSE(r.ok);
+  ASSERT_EQ(r.divergences.size(), 1u) << r.report();
+  EXPECT_EQ(r.divergences.front().candidate.kind, SchedulerKind::Static);
+  EXPECT_EQ(r.divergences.front().first_divergent_cycle, 10u)
+      << r.report();
+}
+
+/// The structural 5-stage CPU of test_integration as a NetSpec: its stages
+/// share architectural state by their "core" parameter, which every
+/// netlist the oracle builds must keep to itself.
+NetSpec structural_cpu_spec() {
+  const Value core(std::string("t_cpu"));
+  NetSpec spec;
+  spec.modules.push_back(
+      {"upl.fetch", "f",
+       params({{"core", core},
+               {"predictor", Value(std::string("bimodal"))},
+               {"program", Value(std::string("  li r1, 0\n"
+                                             "  li r2, 1\n"
+                                             "  li r3, 50\n"
+                                             "loop:\n"
+                                             "  add r1, r1, r2\n"
+                                             "  addi r2, r2, 1\n"
+                                             "  bge r3, r2, loop\n"
+                                             "  out r1\n"
+                                             "  halt\n"))}})});
+  spec.modules.push_back({"upl.decode", "d", params({{"core", core}})});
+  spec.modules.push_back({"upl.execute", "x", params({{"core", core}})});
+  spec.modules.push_back({"upl.mem", "m", params({{"core", core}})});
+  spec.modules.push_back({"upl.writeback", "w", params({{"core", core}})});
+  spec.modules.push_back({"upl.cache", "l1",
+                          params({{"sets", Value(std::int64_t{8})},
+                                  {"ways", Value(std::int64_t{2})},
+                                  {"line_words", Value(std::int64_t{4})}})});
+  spec.modules.push_back({"upl.memctl", "mc",
+                          params({{"latency", Value(std::int64_t{8})},
+                                  {"line_words", Value(std::int64_t{4})}})});
+  spec.edges = {{0, "out", 1, "in"},         {1, "out", 2, "in"},
+                {2, "out", 3, "in"},         {3, "out", 4, "in"},
+                {2, "resolve", 0, "resolve"}, {3, "dreq", 5, "cpu_req"},
+                {5, "cpu_resp", 3, "dresp"},  {5, "mem_req", 6, "req"},
+                {6, "resp", 5, "mem_resp"}};
+  spec.cycles = 2000;
+  return spec;
+}
+
+TEST(Oracle, StructuralCpuSpecAgrees) {
+  liberty::core::ModuleRegistry reg;
+  liberty::pcl::register_pcl(reg);
+  liberty::upl::register_upl(reg);
+  const OracleResult r = run_repeated(structural_cpu_spec, reg, OracleConfig{});
+  EXPECT_TRUE(r.ok) << r.report();
 }
 
 }  // namespace

@@ -259,12 +259,11 @@ TEST_P(Integration, TwoNicsExchangeFramesOverAWire) {
 namespace {
 
 // ---------------------------------------------------------------------------
-// A full structural 5-stage CPU from pure LSS: stages rendezvous on the
-// CoreHub "core" key, the program is an LSS string parameter.
+// A full structural 5-stage CPU from pure LSS: stages rendezvous on their
+// netlist under the "core" key, the program is an LSS string parameter.
 // ---------------------------------------------------------------------------
 
 TEST(IntegrationLss, StructuralCpuFromSpecRetiresProgram) {
-  liberty::upl::CoreHub::reset();  // independent of any earlier hub users
   const char* spec = R"(
     instance f : upl.fetch {
       core = "t_cpu";
@@ -300,11 +299,20 @@ loop:
   liberty::core::lss::build_from_lss(spec, "cpu.lss", nl, full_registry());
   Simulator sim(nl, SchedulerKind::Static);
   sim.run(50'000);
-  const auto state = liberty::upl::CoreHub::get("t_cpu");
+  const auto& state =
+      dynamic_cast<const liberty::upl::FetchStage&>(nl.get("f")).state();
+  ASSERT_NE(state, nullptr);
+  // Every stage of the core holds the one state the netlist shares.
+  for (const char* stage : {"d", "x", "m", "w"}) {
+    EXPECT_EQ(dynamic_cast<const liberty::upl::detail::StageBase&>(
+                  nl.get(stage))
+                  .state(),
+              state)
+        << stage;
+  }
   EXPECT_TRUE(state->halted);
   ASSERT_EQ(state->output.size(), 1u);
   EXPECT_EQ(state->output[0], 50 * 51 / 2);
-  liberty::upl::CoreHub::reset();
 }
 
 }  // namespace

@@ -269,6 +269,17 @@ TEST(LssErrors, NegativeSizeParameterIsRejected) {
   }
 }
 
+// A random source draws from [0, range): an empty range is a diagnostic,
+// not a constant 0, and a negative one is not a wrap to huge values.
+TEST(LssErrors, EmptyRandomSourceRangeIsRejected) {
+  expect_diag(
+      "instance s : pcl.source { kind = \"random\"; range = 0; };\n",
+      "pcl.source 's': range must be >= 1");
+  expect_diag(
+      "instance s : pcl.source { kind = \"random\"; range = -3; };\n",
+      "parameter 'range' must be non-negative, got -3");
+}
+
 TEST(LssErrors, DeclaredPortNeverExported) {
   expect_diag(
       "module m {\n"
