@@ -68,26 +68,49 @@ for spec in examples/specs/*.lss; do
 done
 echo "optimizer stats identical on $(ls examples/specs/*.lss | wc -l) specs"
 
-# Codegen smoke: the compiled backend must reproduce the dynamic
-# scheduler's state digest on every example spec, and the disassembler
-# must produce a listing (docs/codegen.md).  The oracle and fuzz sweep
-# prove trace-level identity in depth; this is the fast end-to-end check.
-echo "=== compiled vs dynamic digest ==="
+# Codegen smoke: the static and compiled schedulers must reproduce the
+# dynamic scheduler's trace and state digests on every example spec, and
+# the disassembler must produce a listing (docs/codegen.md).  The oracle
+# and fuzz sweep prove trace-level identity in depth; this is the fast
+# end-to-end check.
+echo "=== static and compiled vs dynamic digest ==="
 for spec in examples/specs/*.lss; do
   dyn="$(./build/examples/lss_run "$spec" --cycles 500 --scheduler dyn \
     --digest --quiet | grep '^digest:')"
-  comp="$(./build/examples/lss_run "$spec" --cycles 500 --scheduler compiled \
-    --digest --quiet | grep '^digest:')"
-  if [ "$dyn" != "$comp" ]; then
-    echo "compiled scheduler diverged on $spec" >&2
-    echo "  dynamic:  $dyn" >&2
-    echo "  compiled: $comp" >&2
-    exit 1
-  fi
+  for sched in static compiled; do
+    other="$(./build/examples/lss_run "$spec" --cycles 500 \
+      --scheduler "$sched" --digest --quiet | grep '^digest:')"
+    if [ "$dyn" != "$other" ]; then
+      echo "$sched scheduler diverged on $spec" >&2
+      echo "  dynamic: $dyn" >&2
+      echo "  $sched: $other" >&2
+      exit 1
+    fi
+  done
 done
 ./build/examples/lss_run examples/specs/funnel.lss --dump-bytecode \
   | grep -q '== resolve ('
-echo "compiled digests identical on $(ls examples/specs/*.lss | wc -l) specs"
+echo "static and compiled digests identical on $(ls examples/specs/*.lss | wc -l) specs"
+
+# The flagship rack resolves hook-free under both analyzed schedulers and
+# carries every payload type the digests fold: a 2x2 rack must land on the
+# dynamic -O0 digests under every scheduler at -O0 and -O2.
+echo "=== rack 2x2 digest across schedulers ==="
+rack_ref="$(./build/examples/rack_sim --cols 2 --rows 2 --scheduler dyn \
+  --opt-level 0 --digest --quiet | grep '^digest:')"
+for sched in dyn static compiled; do
+  for level in 0 2; do
+    got="$(./build/examples/rack_sim --cols 2 --rows 2 --scheduler "$sched" \
+      --opt-level "$level" --digest --quiet | grep '^digest:')"
+    if [ "$rack_ref" != "$got" ]; then
+      echo "rack 2x2 diverged under $sched -O$level" >&2
+      echo "  dynamic -O0: $rack_ref" >&2
+      echo "  $sched -O$level: $got" >&2
+      exit 1
+    fi
+  done
+done
+echo "rack 2x2 digests identical: $rack_ref"
 
 # Run-to-run determinism: no scheduling decision reads the clock, so two
 # runs of one spec must report identical work counters.  Timing lives
@@ -187,6 +210,33 @@ if [ "$clean_run" != "$resumed2" ]; then
   exit 1
 fi
 echo "crash-recovery smoke ok: killed at 230, resumed, $resumed"
+
+# The structural CPU keeps its pipeline latches and shared core state in
+# its checkpoints: killed mid-program, it must resume to the uninterrupted
+# halt cycle and digests.
+cpu_ck_dir="$smoke_dir/cpu-ckpts"
+cpu_clean="$(./build/examples/lss_run examples/specs/cpu.lss \
+  --scheduler static --digest --quiet | grep '^digest:')"
+kill_status=0
+./build/examples/lss_run examples/specs/cpu.lss --scheduler static \
+  --checkpoint-dir "$cpu_ck_dir" --checkpoint-every 100 --kill-at 300 \
+  --digest --quiet >/dev/null 2>&1 || kill_status=$?
+if [ "$kill_status" -ne 137 ]; then
+  echo "cpu.lss --kill-at 300 did not SIGKILL the run (exit $kill_status)" >&2
+  exit 1
+fi
+./build/examples/lss_run examples/specs/cpu.lss --scheduler static \
+  --checkpoint-dir "$cpu_ck_dir" --checkpoint-every 100 --resume \
+  --digest --quiet >"$smoke_dir/cpu-resume.out" 2>/dev/null
+grep -q 'completed 732 cycles' "$smoke_dir/cpu-resume.out"
+cpu_resumed="$(grep '^digest:' "$smoke_dir/cpu-resume.out")"
+if [ "$cpu_clean" != "$cpu_resumed" ]; then
+  echo "cpu.lss resumed run diverged from the uninterrupted run:" >&2
+  echo "  clean:   $cpu_clean" >&2
+  echo "  resumed: $cpu_resumed" >&2
+  exit 1
+fi
+echo "cpu crash-recovery smoke ok: killed at 300, resumed, $cpu_resumed"
 
 # Rack-scenario smoke: the flagship full-system scenario (docs/scenarios.md)
 # must land on identical trace + state digests under the dynamic and

@@ -57,7 +57,7 @@ void Link::end_of_cycle() {
   if (in_.transferred()) {
     entries_.push_back(Entry{in_.data(), now() + latency_});
     power_.on_traversal();
-    stats().counter("traversals").inc();
+    stats().bind(traversals_stat_, "traversals").inc();
   }
 }
 
@@ -106,7 +106,7 @@ void Bus::cycle_start(Cycle c) {
   winner_ = -1;
   decided_ = false;
   if (busy_) {
-    stats().counter("busy_cycles").inc();
+    stats().bind(busy_cycles_stat_, "busy_cycles").inc();
     if (c >= deliver_at_) {
       for (std::size_t o = 0; o < out_.width(); ++o) {
         if (!delivered_[o] && wants(o)) {
@@ -131,20 +131,18 @@ void Bus::react() {
     if (!in_.forward_known(i)) return;  // wait for every offer
   }
   decided_ = true;
-  std::vector<std::size_t> req;
+  // Round-robin: the first requester at or after rr_, else the first.
+  std::size_t requests = 0;
+  int first = -1;
+  int after_rr = -1;
   for (std::size_t i = 0; i < in_.width(); ++i) {
-    if (in_.has_data(i)) req.push_back(i);
+    if (!in_.has_data(i)) continue;
+    ++requests;
+    if (first < 0) first = static_cast<int>(i);
+    if (after_rr < 0 && i >= rr_) after_rr = static_cast<int>(i);
   }
-  if (req.size() > 1) stats().counter("conflicts").inc();
-  if (!req.empty()) {
-    winner_ = static_cast<int>(req.front());
-    for (const std::size_t i : req) {
-      if (i >= rr_) {
-        winner_ = static_cast<int>(i);
-        break;
-      }
-    }
-  }
+  if (requests > 1) stats().bind(conflicts_stat_, "conflicts").inc();
+  winner_ = after_rr >= 0 ? after_rr : first;
   for (std::size_t i = 0; i < in_.width(); ++i) {
     if (static_cast<int>(i) == winner_) {
       in_.ack(i);  // latched into the bus this cycle
@@ -175,7 +173,7 @@ void Bus::end_of_cycle() {
     }
     if (all) {
       busy_ = false;
-      stats().counter("transactions").inc();
+      stats().bind(transactions_stat_, "transactions").inc();
     }
     return;
   }

@@ -48,6 +48,7 @@ class Link : public liberty::core::Module {
   std::size_t capacity_;
   LinkPower power_;
   std::deque<Entry> entries_;
+  liberty::Counter* traversals_stat_ = nullptr;  // see StatSet::bind
 };
 
 /// Shared bus: N masters arbitrate (round-robin); the winning transaction
@@ -90,6 +91,11 @@ class Bus : public liberty::core::Module {
   std::vector<bool> delivered_;
   int winner_ = -1;  // this cycle's arbitration result
   bool decided_ = false;
+
+  // Resolved-once stat handles (see StatSet::bind).
+  liberty::Counter* busy_cycles_stat_ = nullptr;
+  liberty::Counter* conflicts_stat_ = nullptr;
+  liberty::Counter* transactions_stat_ = nullptr;
 };
 
 }  // namespace liberty::ccl

@@ -41,6 +41,18 @@ struct Flit final : Payload, pcl::Routable {
     return "flit p" + std::to_string(packet) + " " + std::to_string(src) +
            "->" + std::to_string(dst);
   }
+  [[nodiscard]] std::uint64_t digest(std::uint64_t h) const override {
+    h = fnv1a_mix(h, digest_tag("ccl.flit"));
+    h = fnv1a_mix(h, packet);
+    h = fnv1a_mix(h, src);
+    h = fnv1a_mix(h, dst);
+    h = fnv1a_mix(h, born);
+    h = fnv1a_mix(h, vc);
+    h = fnv1a_mix(h, head ? 1 : 0);
+    h = fnv1a_mix(h, tail ? 1 : 0);
+    h = fnv1a_mix(h, hops);
+    return digest_value(h, body);
+  }
 
   /// Copy with one more hop recorded (flits are immutable on the wire).
   [[nodiscard]] std::shared_ptr<const Flit> hopped() const {

@@ -99,6 +99,7 @@ class Router : public liberty::core::Module {
   std::vector<std::size_t> rr_;             // per-output rotation pointer
   std::vector<int> grant_;                  // per-output winning buffer, -1
   std::vector<int> out_lock_;               // per-output: owning buffer, -1
+  std::vector<std::vector<std::size_t>> candidates_;  // per output; scratch
 
   // Resolved-once stat handles (see StatSet::bind).
   liberty::Accumulator* occupancy_stat_ = nullptr;

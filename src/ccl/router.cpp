@@ -56,6 +56,7 @@ void Router::init() {
   rr_.assign(out_.width(), 0);
   grant_.assign(out_.width(), -1);
   out_lock_.assign(out_.width(), -1);
+  candidates_.assign(out_.width(), {});
 }
 
 std::size_t Router::route(const Flit& f) const {
@@ -93,21 +94,23 @@ void Router::cycle_start(Cycle c) {
 
   // Switch allocation: for each output, round-robin over the buffers whose
   // eligible head wants it.  An output locked by an in-flight packet only
-  // serves its owner (wormhole discipline).
-  for (std::size_t o = 0; o < out_.width(); ++o) {
-    std::vector<std::size_t> candidates;
-    for (std::size_t b = 0; b < buffers_.size(); ++b) {
-      if (out_lock_[o] >= 0 && static_cast<std::size_t>(out_lock_[o]) != b) {
-        continue;
-      }
-      const auto& q = buffers_[b];
-      if (q.empty() || q.front().out_port != o || q.front().ready > c) {
-        continue;
-      }
-      // A new packet may claim the output only with its head flit.
-      if (out_lock_[o] < 0 && !q.front().value.as<Flit>()->head) continue;
-      candidates.push_back(b);
+  // serves its owner (wormhole discipline).  One pass over the buffers
+  // sorts each eligible head to the output it wants, in buffer order.
+  for (auto& list : candidates_) list.clear();
+  for (std::size_t b = 0; b < buffers_.size(); ++b) {
+    const auto& q = buffers_[b];
+    if (q.empty() || q.front().ready > c) continue;
+    const std::size_t o = q.front().out_port;
+    if (o >= candidates_.size()) continue;
+    if (out_lock_[o] >= 0) {
+      if (static_cast<std::size_t>(out_lock_[o]) != b) continue;
+    } else if (!q.front().value.as<Flit>()->head) {
+      continue;  // a new packet may claim the output only with its head
     }
+    candidates_[o].push_back(b);
+  }
+  for (std::size_t o = 0; o < out_.width(); ++o) {
+    const std::vector<std::size_t>& candidates = candidates_[o];
     if (candidates.empty()) {
       grant_[o] = -1;
       out_.idle(o);

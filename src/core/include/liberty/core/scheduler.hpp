@@ -379,8 +379,21 @@ class DynamicScheduler final : public SchedulerBase {
 };
 
 /// Shared machinery of the analysis-driven schedulers (static & compiled):
-/// node execution, SCC fixed-point iteration, and the endgame for channels
-/// the schedule could not attribute.
+/// the flat topological walk, node execution, SCC fixed-point iteration,
+/// the endgame for channels the schedule could not attribute, and the
+/// hook-free resolve mode.
+///
+/// Hook-free mode: when the schedule graph has no multi-node or self-loop
+/// SCC, every channel resolves at its own walk step (its driver reacts,
+/// else the kernel defaults it), so the per-resolution ResolveHooks carry
+/// nothing the walk needs — the SCC fixed-point loop is the one construct
+/// that counts resolutions to detect progress.  The constructor decides
+/// this once and uninstalls the hooks, taking a virtual call and the
+/// resolution bookkeeping off every send/ack; finish_resolve then adds the
+/// constant resolution count (each channel resolves exactly once per cycle)
+/// and skips the cleanup endgame.  The base end-of-cycle audit still checks
+/// full resolution every cycle, so a schedule that missed a channel is
+/// loud, not silent.
 class AnalyzedScheduler : public SchedulerBase {
  public:
   /// Schedule shape introspection (tests and bench_scheduler reporting).
@@ -401,9 +414,23 @@ class AnalyzedScheduler : public SchedulerBase {
   [[nodiscard]] std::uint64_t cleanup_activations() const noexcept {
     return cleanup_activations_;
   }
+  /// True when this schedule resolves without ResolveHooks (see above).
+  [[nodiscard]] bool hook_free() const noexcept { return hook_free_; }
 
  protected:
   explicit AnalyzedScheduler(Netlist& netlist);
+
+  /// One step of the flat walk: the channel of a singleton SCC (run by
+  /// execute_node) or the index of a multi-node / self-loop SCC (run by
+  /// run_scc).
+  struct WalkStep {
+    std::uint32_t index;
+    bool scc;
+  };
+
+  /// End of the resolve phase, after the walk: the constant resolution
+  /// count in hook-free mode, the cleanup endgame otherwise.
+  void finish_resolve();
 
   [[nodiscard]] bool node_resolved(ChannelId id) const;
   void execute_node(ChannelId id);
@@ -415,6 +442,9 @@ class AnalyzedScheduler : public SchedulerBase {
                                          std::uint64_t passes) const;
 
   ScheduleGraph graph_;
+  // The SCCs in topological order, flattened (one WalkStep per SCC).
+  std::vector<WalkStep> walk_;
+  bool hook_free_ = false;
   // Precomputed per-SCC execution state (replaces per-cycle driver
   // discovery and defaulting-order sorts in the old run_scc hot path).
   std::vector<std::vector<Module*>> scc_drivers_;

@@ -27,46 +27,18 @@
 #include <variant>
 #include <vector>
 
+#include "liberty/support/digest.hpp"
 #include "liberty/support/error.hpp"
 #include "liberty/support/rng.hpp"
 #include "liberty/support/value.hpp"
 
 namespace liberty::core {
 
-inline constexpr std::uint64_t kFnv1aInit = 0xcbf29ce484222325ULL;
-inline constexpr std::uint64_t kFnv1aPrime = 0x100000001b3ULL;
-
-/// kFnv1aPrimePow[k] = kFnv1aPrime^k (mod 2^64).
-inline constexpr std::array<std::uint64_t, 9> kFnv1aPrimePow = [] {
-  std::array<std::uint64_t, 9> pow{};
-  pow[0] = 1;
-  for (std::size_t k = 1; k < pow.size(); ++k) {
-    pow[k] = pow[k - 1] * kFnv1aPrime;
-  }
-  return pow;
-}();
-
-/// Fold one 64-bit word, low byte first, into a running FNV-1a digest
-/// (state digests and every transfer-trace hash).  The bytes above the
-/// word's highest nonzero byte xor in nothing, so their steps are bare
-/// multiplications and fold into one multiply by a power of the prime:
-/// bit-identical to eight byte steps, and small words (type tags, sizes,
-/// counters) cost one or two.
-[[nodiscard]] constexpr std::uint64_t fnv1a_mix(std::uint64_t h,
-                                                std::uint64_t word) noexcept {
-  // Bytes up to and including the highest nonzero one; 0 for a zero word.
-  const int bytes = (71 - std::countl_zero(word)) / 8;
-  for (int i = 0; i < bytes; ++i) {
-    h ^= (word >> (8 * i)) & 0xffU;
-    h *= kFnv1aPrime;
-  }
-  return h * kFnv1aPrimePow[8 - bytes];
-}
-
-/// Digest a single Value (string content, not pointer identity): its
-/// variant index as a type tag, so e.g. int 1 and bool true differ, then
-/// its content.
-[[nodiscard]] std::uint64_t digest_value(std::uint64_t h, const Value& v);
+// The FNV-1a helpers and digest_value live in liberty_support (payload
+// digest folds need them); the kernel re-exports them under its namespace.
+using liberty::digest_value;
+using liberty::fnv1a_mix;
+using liberty::kFnv1aInit;
 
 namespace detail {
 /// The variant index digest_value folds as the type tag of a T slot.
@@ -201,9 +173,9 @@ inline void load_rng(StateReader& r, liberty::Rng& rng) {
 
 /// Order-sensitive FNV-1a digest over a state slot sequence: the fold a
 /// digest-only StateWriter runs, so a module's state_digest() equals
-/// digest_slots of its stored save_state slots.  Payload slots hash their
-/// describe() rendering, so two modules agree on a digest iff their states
-/// render identically — pointer identity never leaks in.
+/// digest_slots of its stored save_state slots.  Payload slots fold their
+/// fields (Payload::digest), so two modules agree on a digest iff their
+/// states hold equal content — pointer identity never leaks in.
 [[nodiscard]] std::uint64_t digest_slots(const std::vector<Value>& slots);
 
 }  // namespace liberty::core

@@ -691,14 +691,23 @@ AnalyzedScheduler::AnalyzedScheduler(Netlist& netlist)
     : SchedulerBase(netlist) {
   graph_.build(netlist);
 
-  // Precompute per-SCC execution state so run_scc does no per-cycle driver
-  // discovery, sorting, or allocation.
   const auto& sccs = graph_.sccs();
+
+  // Flatten the SCC sequence into the walk, and precompute per-SCC
+  // execution state so run_scc does no per-cycle driver discovery,
+  // sorting, or allocation.
+  walk_.reserve(sccs.size());
   scc_drivers_.resize(sccs.size());
   scc_order_.resize(sccs.size());
   scc_iters_.assign(sccs.size(), 0);
+  hook_free_ = true;
   for (std::size_t i = 0; i < sccs.size(); ++i) {
-    if (sccs[i].size() == 1 && !graph_.self_loop(i)) continue;
+    if (sccs[i].size() == 1 && !graph_.self_loop(i)) {
+      walk_.push_back({static_cast<std::uint32_t>(sccs[i][0]), false});
+      continue;
+    }
+    walk_.push_back({static_cast<std::uint32_t>(i), true});
+    hook_free_ = false;
 
     // Distinct driver modules, in order of first appearance.  Elided
     // modules never react (their driven channels are all constant).
@@ -722,6 +731,15 @@ AnalyzedScheduler::AnalyzedScheduler(Netlist& netlist)
                 return a < b;
               });
   }
+  if (hook_free_) install_hooks(nullptr);
+}
+
+void AnalyzedScheduler::finish_resolve() {
+  if (hook_free_) {
+    ctx_.resolutions += 2 * static_cast<std::uint64_t>(conn_tape_.size());
+    return;
+  }
+  cleanup_unresolved();
 }
 
 bool AnalyzedScheduler::node_resolved(ChannelId id) const {
@@ -892,15 +910,14 @@ StaticScheduler::StaticScheduler(Netlist& netlist)
     : AnalyzedScheduler(netlist) {}
 
 void StaticScheduler::resolve_cycle() {
-  const auto& sccs = graph_.sccs();
-  for (std::size_t i = 0; i < sccs.size(); ++i) {
-    if (sccs[i].size() == 1 && !graph_.self_loop(i)) {
-      execute_node(sccs[i][0]);
+  for (const WalkStep step : walk_) {
+    if (step.scc) {
+      run_scc(step.index);
     } else {
-      run_scc(i);
+      execute_node(step.index);
     }
   }
-  cleanup_unresolved();
+  finish_resolve();
 }
 
 }  // namespace liberty::core

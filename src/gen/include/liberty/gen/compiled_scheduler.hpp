@@ -3,14 +3,15 @@
 // CompiledScheduler lowers the elaborated netlist to the bytecode of
 // bytecode.hpp once at construction and thereafter runs each cycle by
 // executing the three tapes.  It derives from AnalyzedScheduler so the
-// schedule graph, SCC fixed-point iteration (run_scc), fused-chain sweeps,
-// fault seams and the generic cleanup endgame are shared
+// schedule graph and its flat walk, SCC fixed-point iteration (run_scc),
+// fused-chain sweeps, fault seams, the hook-free resolve mode and the
+// end-of-resolve step are shared
 // with the static scheduler — the tapes replace only the per-cycle
 // interpretation of that structure (virtual hook dispatch, per-node driver
 // lookups, plan-fact branches), which is where the steady-state time goes.
 //
 // Semantics: the resolve tape mirrors StaticScheduler::resolve_cycle exactly
-// (same SCC order, same react-then-default policy per node, same cleanup),
+// (same walk, same react-then-default policy per node, same end of resolve),
 // so the compiled scheduler inherits the static scheduler's bit-identity
 // with the dynamic baseline.
 #pragma once
@@ -50,17 +51,6 @@ class CompiledScheduler final : public liberty::core::AnalyzedScheduler {
   void exec(const std::vector<Instr>& tape);
 
   Program program_;
-
-  // True when the resolve tape provably resolves every channel on its own
-  // (no RunScc ops: multi-node SCC fixed points are the one construct whose
-  // convergence loop needs the per-resolution hook counter).  In that mode
-  // the constructor uninstalls the ResolveHooks — dropping a virtual call
-  // plus the resolution bookkeeping from every channel resolution — and
-  // resolve_cycle adds the constant resolution count after the tape halts,
-  // skipping the generic cleanup endgame as well.  The base end-of-cycle
-  // audit verifies full resolution every cycle, so a lowering bug is loud,
-  // not silent.
-  bool fast_resolve_ = false;
 };
 
 /// Make SchedulerKind::Compiled constructible: installs this backend's

@@ -47,17 +47,7 @@ void CompiledScheduler::start_phase() {
 
 void CompiledScheduler::resolve_cycle() {
   exec(program_.resolve);
-  if (!fast_resolve_) {
-    // Same endgame as the static scheduler: anything the schedule could not
-    // attribute quiesces to defaults.
-    cleanup_unresolved();
-    return;
-  }
-  // Hooks are uninstalled (fast_resolve_): every channel resolved exactly
-  // once — pre-resolved constants, tape ops and pending-ack drains
-  // included — so the counter is a constant.  The base end-of-cycle audit
-  // checks the everything-resolved claim.
-  ctx_.resolutions += 2 * static_cast<std::uint64_t>(conn_tape_.size());
+  finish_resolve();
 }
 
 void CompiledScheduler::update_phase() { exec(program_.commit); }

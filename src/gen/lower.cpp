@@ -25,11 +25,6 @@ namespace core = liberty::core;
 CompiledScheduler::CompiledScheduler(core::Netlist& netlist)
     : AnalyzedScheduler(netlist) {
   lower();
-  // Without RunScc ops every remaining opcode decides purely on channel
-  // state, so the per-resolution hooks carry no information the end-of-
-  // resolve sweep cannot recover; uninstalling them removes a virtual call
-  // and the resolution bookkeeping from every send/ack (see fast_resolve_).
-  if (fast_resolve_) install_hooks(nullptr);
 }
 
 void CompiledScheduler::lower() {
@@ -61,7 +56,6 @@ void CompiledScheduler::lower() {
 
   // --- resolve tape: topological SCC order, like the static scheduler ----
   const auto& nodes = graph_.nodes();
-  const auto& sccs = graph_.sccs();
 
   auto emit_channel = [&](core::ChannelId ch) {
     const core::ScheduleGraph::Node& n = nodes[ch];
@@ -120,22 +114,14 @@ void CompiledScheduler::lower() {
     }
   };
 
-  for (std::uint32_t i = 0; i < sccs.size(); ++i) {
-    if (sccs[i].size() == 1 && !graph_.self_loop(i)) {
-      emit_channel(sccs[i][0]);
+  for (const WalkStep step : walk_) {
+    if (step.scc) {
+      program_.resolve.push_back({Op::RunScc, step.index, 0});
     } else {
-      program_.resolve.push_back({Op::RunScc, i, 0});
+      emit_channel(step.index);
     }
   }
   program_.resolve.push_back({Op::Halt, 0, 0});
-
-  fast_resolve_ = true;
-  for (const Instr& ins : program_.resolve) {
-    if (ins.op == Op::RunScc) {
-      fast_resolve_ = false;
-      break;
-    }
-  }
 
   // --- commit tape: one instruction per module with a live end_of_cycle --
   for (core::Module* m : module_tape_) {

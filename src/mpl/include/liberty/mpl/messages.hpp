@@ -50,6 +50,16 @@ struct CohMsg final : Payload, pcl::Routable {
            std::to_string(line) + " " + std::to_string(src) + "->" +
            std::to_string(dst);
   }
+  [[nodiscard]] std::uint64_t digest(std::uint64_t h) const override {
+    h = fnv1a_mix(h, digest_tag("mpl.cohmsg"));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(type));
+    h = fnv1a_mix(h, line);
+    h = fnv1a_mix(h, src);
+    h = fnv1a_mix(h, dst);
+    h = fnv1a_mix(h, tag);
+    h = fnv1a_words(h, words);
+    return fnv1a_mix(h, exclusive ? 1 : 0);
+  }
 };
 
 /// One burst of a DMA transfer (message-passing substrate, §3.4).
@@ -74,6 +84,14 @@ struct DmaChunk final : Payload, pcl::Routable {
     return "dma#" + std::to_string(xfer_id) + "->" + std::to_string(dst_node) +
            "@" + std::to_string(dst_addr) + " x" +
            std::to_string(words.size());
+  }
+  [[nodiscard]] std::uint64_t digest(std::uint64_t h) const override {
+    h = fnv1a_mix(h, digest_tag("mpl.dmachunk"));
+    h = fnv1a_mix(h, dst_node);
+    h = fnv1a_mix(h, dst_addr);
+    h = fnv1a_words(h, words);
+    h = fnv1a_mix(h, xfer_id);
+    return fnv1a_mix(h, last ? 1 : 0);
   }
 };
 

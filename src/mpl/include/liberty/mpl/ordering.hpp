@@ -68,6 +68,12 @@ class OrderingCtl : public liberty::core::Module {
   bool offering_load_ = false;
   std::uint64_t drain_tags_outstanding_ = 0;
   std::uint64_t next_tag_ = 1u << 20;      // private tags for drained stores
+
+  // Resolved-once stat handles (see StatSet::bind).
+  liberty::Counter* drain_stalls_stat_ = nullptr;
+  liberty::Counter* stores_stat_ = nullptr;
+  liberty::Counter* loads_stat_ = nullptr;
+  liberty::Counter* forwards_stat_ = nullptr;
 };
 
 }  // namespace liberty::mpl

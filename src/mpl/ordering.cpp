@@ -59,7 +59,7 @@ void OrderingCtl::cycle_start(Cycle) {
     cpu_req_.ack();
   } else {
     cpu_req_.nack();
-    stats().counter("drain_stalls").inc();
+    stats().bind(drain_stalls_stat_, "drain_stalls").inc();
   }
 }
 
@@ -92,7 +92,7 @@ void OrderingCtl::end_of_cycle() {
   const auto req = v.as<MemReq>();
 
   if (req->op == MemReq::Op::Write) {
-    stats().counter("stores").inc();
+    stats().bind(stores_stat_, "stores").inc();
     if (tso_) {
       // Complete immediately into the store buffer; drain in order.
       buffer_.push_back(BufferedStore{req->addr, req->data});
@@ -110,12 +110,12 @@ void OrderingCtl::end_of_cycle() {
     return;
   }
 
-  stats().counter("loads").inc();
+  stats().bind(loads_stat_, "loads").inc();
   if (tso_) {
     // Forward from the youngest matching buffered store.
     for (auto it = buffer_.rbegin(); it != buffer_.rend(); ++it) {
       if (it->addr == req->addr) {
-        stats().counter("forwards").inc();
+        stats().bind(forwards_stat_, "forwards").inc();
         cpu_respq_.push_back(
             liberty::Value::make<MemResp>(req->tag, it->data, false));
         return;

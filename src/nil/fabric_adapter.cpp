@@ -72,9 +72,9 @@ void FabricAdapter::react() {
 void FabricAdapter::end_of_cycle() {
   if (net_out_.transferred()) {
     ++next_packet_;
-    stats().counter("tx").inc();
+    stats().bind(tx_stat_, "tx").inc();
   }
-  if (net_in_.transferred()) stats().counter("rx").inc();
+  if (net_in_.transferred()) stats().bind(rx_stat_, "rx").inc();
 }
 
 void FabricAdapter::save_state(liberty::core::StateWriter& w) const {

@@ -48,6 +48,13 @@ struct EthFrame final : Payload, pcl::Routable {
     return "eth " + std::to_string(src_mac) + "->" + std::to_string(dst_mac) +
            " x" + std::to_string(payload.size());
   }
+  [[nodiscard]] std::uint64_t digest(std::uint64_t h) const override {
+    h = fnv1a_mix(h, digest_tag("nil.ethframe"));
+    h = fnv1a_mix(h, src_mac);
+    h = fnv1a_mix(h, dst_mac);
+    h = fnv1a_words(h, payload);
+    return fnv1a_mix(h, fcs);
+  }
 };
 
 }  // namespace liberty::nil

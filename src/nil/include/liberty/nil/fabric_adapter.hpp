@@ -47,6 +47,10 @@ class FabricAdapter : public liberty::core::Module {
   std::size_t id_num_;
   std::size_t vcs_;
   std::uint64_t next_packet_ = 0;
+
+  // Resolved-once stat handles (see StatSet::bind).
+  liberty::Counter* tx_stat_ = nullptr;
+  liberty::Counter* rx_stat_ = nullptr;
 };
 
 }  // namespace liberty::nil

@@ -104,6 +104,10 @@ class NicAssist : public liberty::core::Module,
   // Frame queues.
   std::deque<liberty::Value> txq_;                       // ready to send
   std::deque<std::shared_ptr<const EthFrame>> rxq_;      // received, good FCS
+
+  // Resolved-once stat handles (see StatSet::bind).
+  liberty::Counter* tx_frames_stat_ = nullptr;
+  liberty::Counter* dma_words_stat_ = nullptr;
 };
 
 /// A fully assembled programmable NIC.

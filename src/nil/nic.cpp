@@ -94,13 +94,13 @@ void NicAssist::end_of_cycle() {
   }
   if (net_tx_.transferred()) {
     txq_.pop_front();
-    stats().counter("tx_frames").inc();
+    stats().bind(tx_frames_stat_, "tx_frames").inc();
   }
 
   if (host_resp_.transferred()) {
     mem_in_flight_ = false;
     const auto resp = host_resp_.data().as<MemResp>();
-    stats().counter("dma_words").inc();
+    stats().bind(dma_words_stat_, "dma_words").inc();
     if (mode_ == DmaMode::Gather && !resp->was_write) {
       dma_buf_.push_back(resp->data);
       ++dma_done_;

@@ -86,7 +86,9 @@ void Arbiter::end_of_cycle() {
     if (grants_in_stat_.size() != in_.width()) {
       grants_in_stat_.resize(in_.width(), nullptr);
     }
-    stats().bind(grants_in_stat_[w], "grants_in" + std::to_string(w));
+    if (grants_in_stat_[w] == nullptr) {
+      grants_in_stat_[w] = &stats().counter("grants_in" + std::to_string(w));
+    }
     grants_in_stat_[w]->inc();
     last_grant_[w] = now() + 1;
     rr_next_ = (w + 1) % in_.width();

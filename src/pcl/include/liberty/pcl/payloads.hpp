@@ -35,6 +35,13 @@ struct MemReq final : Payload {
     return (op == Op::Read ? "rd@" : "wr@") + std::to_string(addr) + "#" +
            std::to_string(tag);
   }
+  [[nodiscard]] std::uint64_t digest(std::uint64_t h) const override {
+    h = fnv1a_mix(h, digest_tag("pcl.memreq"));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(op));
+    h = fnv1a_mix(h, addr);
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(data));
+    return fnv1a_mix(h, tag);
+  }
 };
 
 /// Memory transaction response.
@@ -49,6 +56,12 @@ struct MemResp final : Payload {
   [[nodiscard]] std::string describe() const override {
     return "resp#" + std::to_string(tag) + "=" + std::to_string(data);
   }
+  [[nodiscard]] std::uint64_t digest(std::uint64_t h) const override {
+    h = fnv1a_mix(h, digest_tag("pcl.memresp"));
+    h = fnv1a_mix(h, tag);
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(data));
+    return fnv1a_mix(h, was_write ? 1 : 0);
+  }
 };
 
 /// Generic timestamped item: wraps any value with its creation cycle so
@@ -62,6 +75,11 @@ struct Stamped final : Payload {
 
   [[nodiscard]] std::string describe() const override {
     return "stamped(" + inner.to_string() + "@" + std::to_string(born) + ")";
+  }
+  [[nodiscard]] std::uint64_t digest(std::uint64_t h) const override {
+    h = fnv1a_mix(h, digest_tag("pcl.stamped"));
+    h = digest_value(h, inner);
+    return fnv1a_mix(h, born);
   }
 };
 

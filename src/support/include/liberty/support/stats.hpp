@@ -118,20 +118,25 @@ class StatSet {
   }
 
   /// Resolve-once handles for hot-path updates.  `counter()` et al. walk a
-  /// string-keyed map on every call; modules that bump the same statistic
-  /// every cycle cache the returned pointer instead.  Map nodes are stable
+  /// string-keyed map on every call (and build a std::string key, which
+  /// allocates past the small-string size); modules that bump the same
+  /// statistic every cycle cache the returned pointer instead, as in
+  /// `stats().bind(cycles_stat_, "cycles").inc()`.  Map nodes are stable
   /// for the StatSet's lifetime, so the pointer never dangles.  Binding
   /// happens on first *use* (not at construction) so the entry appears in
   /// dumps at exactly the same point as with uncached lookups.
-  void bind(Counter*& slot, const std::string& name) {
+  Counter& bind(Counter*& slot, const char* name) {
     if (slot == nullptr) slot = &counter(name);
+    return *slot;
   }
-  void bind(Accumulator*& slot, const std::string& name) {
+  Accumulator& bind(Accumulator*& slot, const char* name) {
     if (slot == nullptr) slot = &accumulator(name);
+    return *slot;
   }
-  void bind(Histogram*& slot, const std::string& name,
-            std::size_t buckets = 64, double width = 1.0) {
+  Histogram& bind(Histogram*& slot, const char* name,
+                  std::size_t buckets = 64, double width = 1.0) {
     if (slot == nullptr) slot = &histogram(name, buckets, width);
+    return *slot;
   }
   [[nodiscard]] const std::map<std::string, Accumulator>& accumulators()
       const {

@@ -18,6 +18,7 @@
 #include <utility>
 #include <variant>
 
+#include "liberty/support/digest.hpp"
 #include "liberty/support/error.hpp"
 
 namespace liberty {
@@ -30,7 +31,18 @@ class Payload {
   virtual ~Payload() = default;
 
   /// Human-readable rendering used by tracing and the visualizer export.
+  /// Display only: digests never read it unless digest() is left default.
   [[nodiscard]] virtual std::string describe() const { return "<payload>"; }
+
+  /// Fold this payload's content into a running FNV-1a digest (trace and
+  /// state digests, the differential oracle's comparison point).  Override
+  /// it to fold a type tag (digest_tag) and then every field the payload's
+  /// checkpoint codec writes — nested Values through digest_value — so a
+  /// change to any field changes the digest.  The fold must take no lock,
+  /// allocate nothing and format no string: the oracle digests on several
+  /// threads at once.  The default folds the describe() bytes, which is
+  /// blind to every field describe() leaves out.
+  [[nodiscard]] virtual std::uint64_t digest(std::uint64_t h) const;
 };
 
 /// A dynamically typed value.  Monostate means "present but carries no
@@ -136,5 +148,11 @@ class Value {
 };
 
 std::ostream& operator<<(std::ostream& os, const Value& v);
+
+/// Fold a single Value into a running FNV-1a digest by content, never by
+/// pointer identity: its variant index as a type tag, so e.g. int 1 and
+/// bool true differ, then its content (a payload through
+/// Payload::digest).
+[[nodiscard]] std::uint64_t digest_value(std::uint64_t h, const Value& v);
 
 }  // namespace liberty

@@ -41,6 +41,14 @@ struct LineReq final : Payload, pcl::Routable {
     return std::string(k) + "@" + std::to_string(line) + "#" +
            std::to_string(tag);
   }
+  [[nodiscard]] std::uint64_t digest(std::uint64_t h) const override {
+    h = fnv1a_mix(h, digest_tag("upl.linereq"));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(kind));
+    h = fnv1a_mix(h, line);
+    h = fnv1a_mix(h, tag);
+    h = fnv1a_mix(h, requester);
+    return fnv1a_words(h, words);
+  }
 };
 
 /// Downstream response: the filled line.
@@ -62,6 +70,14 @@ struct LineResp final : Payload, pcl::Routable {
   [[nodiscard]] std::size_t route_key() const override { return requester; }
   [[nodiscard]] std::string describe() const override {
     return "fill@" + std::to_string(line) + "#" + std::to_string(tag);
+  }
+  [[nodiscard]] std::uint64_t digest(std::uint64_t h) const override {
+    h = fnv1a_mix(h, digest_tag("upl.lineresp"));
+    h = fnv1a_mix(h, line);
+    h = fnv1a_mix(h, tag);
+    h = fnv1a_mix(h, requester);
+    h = fnv1a_words(h, words);
+    return fnv1a_mix(h, exclusive ? 1 : 0);
   }
 };
 

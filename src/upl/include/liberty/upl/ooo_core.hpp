@@ -118,6 +118,16 @@ class OoOCore : public liberty::core::Module {
   std::unordered_map<std::uint64_t, std::uint64_t> store_ready_;
   std::uint64_t fetch_stalled_until_ = 0;
   std::optional<std::size_t> blocking_branch_;  // trace idx awaiting resolve
+
+  // Resolved-once stat handles (see StatSet::bind).
+  liberty::Counter* cycles_stat_ = nullptr;
+  liberty::Counter* retired_stat_ = nullptr;
+  liberty::Counter* dcache_hits_stat_ = nullptr;
+  liberty::Counter* dcache_misses_stat_ = nullptr;
+  liberty::Counter* window_full_stalls_stat_ = nullptr;
+  liberty::Counter* mispredicts_stat_ = nullptr;
+  liberty::Counter* correct_predictions_stat_ = nullptr;
+  liberty::Accumulator* window_occupancy_stat_ = nullptr;
 };
 
 }  // namespace liberty::upl

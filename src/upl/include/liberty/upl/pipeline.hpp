@@ -77,6 +77,11 @@ struct CoreState {
       if (b.busy && b.producer_seq > seq) b.busy = false;
     }
   }
+
+  /// Snapshot everything but the program (rebuilt at elaboration).  The
+  /// core's FetchStage saves it, once for all five stages.
+  void save(liberty::core::StateWriter& w) const;
+  void load(liberty::core::StateReader& r);
 };
 
 /// An instruction in flight.  Immutable: each stage republishes an updated
@@ -96,6 +101,30 @@ struct InstrToken final : Payload {
     return "#" + std::to_string(seq) + "@" + std::to_string(pc) + " " +
            instr.to_string();
   }
+  [[nodiscard]] std::uint64_t digest(std::uint64_t h) const override {
+    h = fnv1a_mix(h, digest_tag("upl.instr"));
+    h = fnv1a_mix(h, pc);
+    h = fnv1a_mix(h, seq);
+    h = fnv1a_mix(h, epoch);
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(instr.op));
+    h = fnv1a_mix(h, instr.rd);
+    h = fnv1a_mix(h, instr.rs1);
+    h = fnv1a_mix(h, instr.rs2);
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(instr.imm));
+    h = fnv1a_mix(h, pred_taken ? 1 : 0);
+    h = fnv1a_mix(h, pred_target);
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(a));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(b));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(result.value));
+    h = fnv1a_mix(h, result.mem_addr);
+    h = fnv1a_mix(h, result.taken ? 1 : 0);
+    h = fnv1a_mix(h, result.target);
+    h = fnv1a_mix(h, result.writes_reg ? 1 : 0);
+    h = fnv1a_mix(h, result.halts ? 1 : 0);
+    h = fnv1a_mix(h, result.out.has_value() ? 1 : 0);
+    if (result.out) h = fnv1a_mix(h, static_cast<std::uint64_t>(*result.out));
+    return h;
+  }
 };
 
 /// Branch resolution, Execute -> Fetch.
@@ -110,6 +139,15 @@ struct Resolution final : Payload {
   [[nodiscard]] std::string describe() const override {
     return std::string("resolve@") + std::to_string(branch_pc) +
            (mispredicted ? " MISS" : " ok");
+  }
+  [[nodiscard]] std::uint64_t digest(std::uint64_t h) const override {
+    h = fnv1a_mix(h, digest_tag("upl.resolution"));
+    h = fnv1a_mix(h, branch_pc);
+    h = fnv1a_mix(h, branch_seq);
+    h = fnv1a_mix(h, taken ? 1 : 0);
+    h = fnv1a_mix(h, target);
+    h = fnv1a_mix(h, mispredicted ? 1 : 0);
+    return fnv1a_mix(h, is_conditional ? 1 : 0);
   }
 };
 
@@ -151,6 +189,9 @@ class FetchStage final : public detail::StageBase {
   void cycle_start(liberty::core::Cycle c) override;
   void end_of_cycle() override;
   void declare_deps(liberty::core::Deps& deps) const override;
+  /// Also saves the shared CoreState.
+  void save_state(liberty::core::StateWriter& w) const override;
+  void load_state(liberty::core::StateReader& r) override;
 
   [[nodiscard]] const Predictor& predictor() const { return *pred_; }
 
@@ -176,6 +217,8 @@ class DecodeStage final : public detail::StageBase {
   void react() override;
   void end_of_cycle() override;
   void declare_deps(liberty::core::Deps& deps) const override;
+  void save_state(liberty::core::StateWriter& w) const override;
+  void load_state(liberty::core::StateReader& r) override;
 
  private:
   std::optional<liberty::Value> held_;  // decoded, waiting for execute
@@ -190,6 +233,8 @@ class ExecuteStage final : public detail::StageBase {
   void react() override;
   void end_of_cycle() override;
   void declare_deps(liberty::core::Deps& deps) const override;
+  void save_state(liberty::core::StateWriter& w) const override;
+  void load_state(liberty::core::StateReader& r) override;
 
  private:
   liberty::core::Port& resolve_;
@@ -209,6 +254,8 @@ class MemStage final : public detail::StageBase {
   void react() override;
   void end_of_cycle() override;
   void declare_deps(liberty::core::Deps& deps) const override;
+  void save_state(liberty::core::StateWriter& w) const override;
+  void load_state(liberty::core::StateReader& r) override;
 
  private:
   liberty::core::Port& dreq_;

@@ -5,6 +5,7 @@
 // module is customized with any of these without code changes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -28,6 +29,32 @@ class Predictor {
   virtual void save(liberty::core::StateWriter&) const {}
   virtual void load(liberty::core::StateReader&) {}
 };
+
+namespace detail {
+/// Snapshot a 2-bit saturating counter table 32 counters per u64 slot
+/// (low bits first; a partial last word is zero-padded): the tables are
+/// the bulk of a core's state, and every snapshot and digest walks them.
+inline void save_counters(liberty::core::StateWriter& w,
+                          const std::vector<std::uint8_t>& table) {
+  std::uint64_t word = 0;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    word |= static_cast<std::uint64_t>(table[i] & 3U) << (2 * (i % 32));
+    if (i % 32 == 31) {
+      w.put_u64(word);
+      word = 0;
+    }
+  }
+  if (table.size() % 32 != 0) w.put_u64(word);
+}
+inline void load_counters(liberty::core::StateReader& r,
+                          std::vector<std::uint8_t>& table) {
+  std::uint64_t word = 0;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    if (i % 32 == 0) word = r.get_u64();
+    table[i] = static_cast<std::uint8_t>((word >> (2 * (i % 32))) & 3U);
+  }
+}
+}  // namespace detail
 
 /// Always predicts the fixed direction.
 class StaticPredictor final : public Predictor {
@@ -58,10 +85,10 @@ class BimodalPredictor final : public Predictor {
   }
   [[nodiscard]] std::string name() const override { return "bimodal"; }
   void save(liberty::core::StateWriter& w) const override {
-    for (const std::uint8_t c : table_) w.put_u64(c);
+    detail::save_counters(w, table_);
   }
   void load(liberty::core::StateReader& r) override {
-    for (std::uint8_t& c : table_) c = static_cast<std::uint8_t>(r.get_u64());
+    detail::load_counters(r, table_);
   }
 
  private:
@@ -84,11 +111,11 @@ class GSharePredictor final : public Predictor {
   }
   [[nodiscard]] std::string name() const override { return "gshare"; }
   void save(liberty::core::StateWriter& w) const override {
-    for (const std::uint8_t c : table_) w.put_u64(c);
+    detail::save_counters(w, table_);
     w.put_u64(history_);
   }
   void load(liberty::core::StateReader& r) override {
-    for (std::uint8_t& c : table_) c = static_cast<std::uint8_t>(r.get_u64());
+    detail::load_counters(r, table_);
     history_ = r.get_u64();
   }
 
@@ -125,12 +152,12 @@ class TournamentPredictor final : public Predictor {
   void save(liberty::core::StateWriter& w) const override {
     bimodal_.save(w);
     gshare_.save(w);
-    for (const std::uint8_t c : chooser_) w.put_u64(c);
+    detail::save_counters(w, chooser_);
   }
   void load(liberty::core::StateReader& r) override {
     bimodal_.load(r);
     gshare_.load(r);
-    for (std::uint8_t& c : chooser_) c = static_cast<std::uint8_t>(r.get_u64());
+    detail::load_counters(r, chooser_);
   }
 
  private:
@@ -155,6 +182,34 @@ class Btb {
     const std::size_t i = pc % tags_.size();
     tags_[i] = pc;
     targets_[i] = target;
+  }
+
+  /// Snapshot the valid entries only (count, then index/tag/target each):
+  /// a BTB is mostly empty, and invalid entries are the constructor's.
+  void save(liberty::core::StateWriter& w) const {
+    std::size_t valid = 0;
+    for (const std::uint64_t t : tags_) valid += t != kInvalid ? 1 : 0;
+    w.put_size(valid);
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+      if (tags_[i] == kInvalid) continue;
+      w.put_size(i);
+      w.put_u64(tags_[i]);
+      w.put_u64(targets_[i]);
+    }
+  }
+  void load(liberty::core::StateReader& r) {
+    std::fill(tags_.begin(), tags_.end(), kInvalid);
+    std::fill(targets_.begin(), targets_.end(), 0);
+    const std::size_t valid = r.get_size();
+    for (std::size_t k = 0; k < valid; ++k) {
+      const std::size_t i = r.get_size();
+      if (i >= tags_.size()) {
+        throw liberty::SimulationError("BTB restore: entry " +
+                                       std::to_string(i) + " out of range");
+      }
+      tags_[i] = r.get_u64();
+      targets_[i] = r.get_u64();
+    }
   }
 
  private:

@@ -106,6 +106,12 @@ class SimpleCpu : public liberty::core::Module, public liberty::core::MmioHost {
   };
   std::optional<PendingMem> pending_;
   std::uint64_t next_tag_ = 1;
+
+  // Resolved-once stat handles (see StatSet::bind).
+  liberty::Counter* cycles_stat_ = nullptr;
+  liberty::Counter* instructions_stat_ = nullptr;
+  liberty::Counter* mem_stall_cycles_stat_ = nullptr;
+  liberty::Counter* mem_ops_stat_ = nullptr;
 };
 
 }  // namespace liberty::upl

@@ -71,10 +71,10 @@ std::uint64_t OoOCore::exec_latency(const TraceEntry& e) {
     case Op::Lw:
     case Op::Sw: {
       if (dcache_.lookup(e.mem_addr) != nullptr) {
-        stats().counter("dcache_hits").inc();
+        stats().bind(dcache_hits_stat_, "dcache_hits").inc();
         return load_hit_;
       }
-      stats().counter("dcache_misses").inc();
+      stats().bind(dcache_misses_stat_, "dcache_misses").inc();
       CacheModel::Line& victim = dcache_.victim(e.mem_addr);
       dcache_.fill(victim, e.mem_addr, e.instr.op == Op::Sw);
       return load_miss_;
@@ -92,7 +92,7 @@ void OoOCore::do_commit() {
     ++commit_ptr_;
     rob_.pop_front();
     ++committed;
-    stats().counter("retired").inc();
+    stats().bind(retired_stat_, "retired").inc();
   }
 }
 
@@ -140,7 +140,7 @@ void OoOCore::do_fetch() {
       if (!f.issued) ++waiting;
     }
     if (waiting >= window_size_) {
-      stats().counter("window_full_stalls").inc();
+      stats().bind(window_full_stalls_stat_, "window_full_stalls").inc();
       break;
     }
     const TraceEntry& e = trace_[fetch_ptr_];
@@ -155,12 +155,12 @@ void OoOCore::do_fetch() {
         pred_->update(e.pc, e.taken);
       }
       if (conditional && predicted_taken != e.taken) {
-        stats().counter("mispredicts").inc();
+        stats().bind(mispredicts_stat_, "mispredicts").inc();
         blocking_branch_ = fetch_ptr_;
         ++fetch_ptr_;
         return;  // fetch stops until the branch resolves
       }
-      stats().counter("correct_predictions").inc();
+      stats().bind(correct_predictions_stat_, "correct_predictions").inc();
     }
     ++fetch_ptr_;
   }
@@ -221,7 +221,7 @@ void OoOCore::load_state(liberty::core::StateReader& r) {
 
 void OoOCore::end_of_cycle() {
   if (done()) return;
-  stats().counter("cycles").inc();
+  stats().bind(cycles_stat_, "cycles").inc();
   do_commit();
   do_issue();
   do_fetch();
@@ -229,7 +229,9 @@ void OoOCore::end_of_cycle() {
   for (const auto& f : rob_) {
     if (!f.issued) ++waiting;
   }
-  stats().accumulator("window_occupancy").add(static_cast<double>(waiting));
+  stats()
+      .bind(window_occupancy_stat_, "window_occupancy")
+      .add(static_cast<double>(waiting));
   if (done()) {
     stats().counter("done_at").inc(now());
     if (stop_on_halt_) request_stop();

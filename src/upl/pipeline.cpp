@@ -12,6 +12,8 @@ using liberty::core::Deps;
 using liberty::core::fwd;
 using liberty::core::Netlist;
 using liberty::core::Params;
+using liberty::core::StateReader;
+using liberty::core::StateWriter;
 using liberty::pcl::MemReq;
 using liberty::pcl::MemResp;
 
@@ -51,7 +53,53 @@ std::shared_ptr<InstrToken> clone(const InstrToken& t) {
   return std::make_shared<InstrToken>(t);
 }
 
+void put_latch(StateWriter& w, const std::optional<liberty::Value>& latch) {
+  w.put_bool(latch.has_value());
+  if (latch) w.put(*latch);
+}
+
+std::optional<liberty::Value> get_latch(StateReader& r) {
+  if (!r.get_bool()) return std::nullopt;
+  return r.get();
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// CoreState
+// ---------------------------------------------------------------------------
+
+void CoreState::save(StateWriter& w) const {
+  for (const std::int64_t r : regs) w.put_i64(r);
+  for (const BusyEntry& b : busy) {
+    w.put_bool(b.busy);
+    w.put_u64(b.producer_seq);
+  }
+  w.put_u64(epoch);
+  w.put_bool(redirect.has_value());
+  if (redirect) w.put_u64(*redirect);
+  w.put_bool(halted);
+  w.put_u64(retired);
+  w.put_u64(squashed);
+  w.put_size(output.size());
+  for (const std::int64_t v : output) w.put_i64(v);
+}
+
+void CoreState::load(StateReader& r) {
+  for (std::int64_t& reg : regs) reg = r.get_i64();
+  for (BusyEntry& b : busy) {
+    b.busy = r.get_bool();
+    b.producer_seq = r.get_u64();
+  }
+  epoch = r.get_u64();
+  redirect.reset();
+  if (r.get_bool()) redirect = r.get_u64();
+  halted = r.get_bool();
+  retired = r.get_u64();
+  squashed = r.get_u64();
+  output.assign(r.get_size(), 0);
+  for (std::int64_t& v : output) v = r.get_i64();
+}
 
 // ---------------------------------------------------------------------------
 // StageBase
@@ -181,6 +229,26 @@ void FetchStage::declare_deps(Deps& deps) const {
   deps.state_only(*out_);
 }
 
+void FetchStage::save_state(StateWriter& w) const {
+  w.put_u64(pc_);
+  w.put_u64(next_seq_);
+  w.put_bool(stalled_on_halt_);
+  put_latch(w, slot_);
+  pred_->save(w);
+  btb_.save(w);
+  state_->save(w);
+}
+
+void FetchStage::load_state(StateReader& r) {
+  pc_ = r.get_u64();
+  next_seq_ = r.get_u64();
+  stalled_on_halt_ = r.get_bool();
+  slot_ = get_latch(r);
+  pred_->load(r);
+  btb_.load(r);
+  state_->load(r);
+}
+
 // ---------------------------------------------------------------------------
 // DecodeStage
 // ---------------------------------------------------------------------------
@@ -250,6 +318,10 @@ void DecodeStage::declare_deps(Deps& deps) const {
   deps.state_only(*out_);
   deps.depends(*in_, {fwd(*in_), bwd(*out_)});
 }
+
+void DecodeStage::save_state(StateWriter& w) const { put_latch(w, held_); }
+
+void DecodeStage::load_state(StateReader& r) { held_ = get_latch(r); }
 
 // ---------------------------------------------------------------------------
 // ExecuteStage
@@ -356,6 +428,18 @@ void ExecuteStage::declare_deps(Deps& deps) const {
   deps.depends(*in_, {fwd(*in_), bwd(*out_)});
 }
 
+void ExecuteStage::save_state(StateWriter& w) const {
+  put_latch(w, held_);
+  put_latch(w, resolution_);
+  w.put_u64(ready_);
+}
+
+void ExecuteStage::load_state(StateReader& r) {
+  held_ = get_latch(r);
+  resolution_ = get_latch(r);
+  ready_ = r.get_u64();
+}
+
 // ---------------------------------------------------------------------------
 // MemStage
 // ---------------------------------------------------------------------------
@@ -446,6 +530,22 @@ void MemStage::declare_deps(Deps& deps) const {
   deps.state_only(dreq_);
   deps.state_only(dresp_);
   deps.depends(*in_, {fwd(*in_), bwd(*out_)});
+}
+
+void MemStage::save_state(StateWriter& w) const {
+  put_latch(w, held_);
+  put_latch(w, waiting_);
+  w.put(pending_req_);
+  w.put_bool(req_sent_);
+  w.put_u64(next_tag_);
+}
+
+void MemStage::load_state(StateReader& r) {
+  held_ = get_latch(r);
+  waiting_ = get_latch(r);
+  pending_req_ = r.get();
+  req_sent_ = r.get_bool();
+  next_tag_ = r.get_u64();
 }
 
 // ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ void SimpleCpu::execute_one() {
 }
 
 void SimpleCpu::end_of_cycle() {
-  stats().counter("cycles").inc();
+  stats().bind(cycles_stat_, "cycles").inc();
   if (halted_) return;
 
   if (pending_) {
@@ -112,16 +112,18 @@ void SimpleCpu::end_of_cycle() {
       pending_.reset();
       ++retired_;
       ++pc_;
-      stats().counter("instructions").inc();
+      stats().bind(instructions_stat_, "instructions").inc();
     } else {
-      stats().counter("mem_stall_cycles").inc();
+      stats().bind(mem_stall_cycles_stat_, "mem_stall_cycles").inc();
     }
     return;
   }
 
   execute_one();
-  if (!pending_ && !halted_) stats().counter("instructions").inc();
-  if (pending_) stats().counter("mem_ops").inc();
+  if (!pending_ && !halted_) {
+    stats().bind(instructions_stat_, "instructions").inc();
+  }
+  if (pending_) stats().bind(mem_ops_stat_, "mem_ops").inc();
 }
 
 void SimpleCpu::declare_deps(Deps& deps) const {

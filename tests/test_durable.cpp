@@ -3,9 +3,9 @@
 // bit-flip rejection, payload codecs), the DurableSupervisor (atomic
 // spill, retention, resume-with-skip, env-fault injection), the
 // fork+SIGKILL harness proving a killed run resumes bit-identically for
-// every scheduler at -O0 and -O2, the committed golden checkpoint every
-// future build must load, and the stable resil.supervisor.* metric
-// names.
+// every scheduler at -O0 and -O2 (and for the structural CPU spec), the
+// committed golden checkpoint every future build must load, and the
+// stable resil.supervisor.* metric names.
 #include <gtest/gtest.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -24,6 +24,8 @@
 #include "liberty/ccl/ccl.hpp"
 #include "liberty/ccl/flit.hpp"
 #include "liberty/core/checkpoint.hpp"
+#include "liberty/core/lss/elaborator.hpp"
+#include "liberty/core/lss/parser.hpp"
 #include "liberty/core/simulator.hpp"
 #include "liberty/gen/compiled_scheduler.hpp"
 #include "liberty/mpl/mpl.hpp"
@@ -37,6 +39,7 @@
 #include "liberty/resil/watchdog.hpp"
 #include "liberty/support/error.hpp"
 #include "liberty/testing/netspec.hpp"
+#include "liberty/upl/upl.hpp"
 #include "test_util.hpp"
 
 #ifndef LIBERTY_REPO_ROOT
@@ -76,6 +79,7 @@ liberty::core::ModuleRegistry& reg() {
     liberty::pcl::register_pcl(m);
     liberty::ccl::register_ccl(m);
     liberty::mpl::register_mpl(m);
+    liberty::upl::register_upl(m);
     return m;
   }();
   return r;
@@ -649,27 +653,33 @@ TEST(Durable, EnvFaultClassNamesRoundtripThroughJson) {
 // The crash harness: fork, SIGKILL mid-run, resume, compare digests — for
 // every scheduler at -O0 and -O2.
 
-void kill_midrun(const std::string& dir, SchedulerKind kind, int opt_level,
-                 Cycle kill_at, Cycle cycles) {
+/// Run `run` in a forked child, which a supervisor's kill_at must SIGKILL;
+/// any other exit is a harness failure.
+void expect_killed(const std::function<void()>& run) {
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Child: the supervisor raises SIGKILL once `kill_at` commits.  Any
-    // other exit is a harness failure the parent will flag.
-    Netlist nl;
-  build_netlist(nl, durable_spec(), opt_level);
-    DurableConfig dcfg;
-    dcfg.dir = dir;
-    dcfg.keep_last = 8;
-    dcfg.kill_at = kill_at;
-    DurableSupervisor sup(nl, sup_cfg(kind, 20), dcfg);
-    (void)sup.run(cycles);
+    run();
     ::_exit(42);  // reached only if kill_at never fired
   }
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
       << "child was not SIGKILLed (status " << status << ")";
+}
+
+void kill_midrun(const std::string& dir, SchedulerKind kind, int opt_level,
+                 Cycle kill_at, Cycle cycles) {
+  expect_killed([&] {
+    Netlist nl;
+    build_netlist(nl, durable_spec(), opt_level);
+    DurableConfig dcfg;
+    dcfg.dir = dir;
+    dcfg.keep_last = 8;
+    dcfg.kill_at = kill_at;
+    DurableSupervisor sup(nl, sup_cfg(kind, 20), dcfg);
+    (void)sup.run(cycles);
+  });
 }
 
 TEST(DurableCrash, KilledRunResumesBitIdenticalAcrossSchedulers) {
@@ -693,6 +703,42 @@ TEST(DurableCrash, KilledRunResumesBitIdenticalAcrossSchedulers) {
           << opt_level;
     }
   }
+}
+
+/// examples/specs/cpu.lss, the structural five-stage CPU built from LSS,
+/// under the static scheduler with a spill every 100 cycles, run to its
+/// halt (as `lss_run cpu.lss --scheduler static --checkpoint-every 100`).
+RecoveryReport cpu_run(const std::string& dir, bool resume,
+                       Cycle kill_at = 0) {
+  Netlist nl;
+  const std::string path =
+      std::string(LIBERTY_REPO_ROOT) + "/examples/specs/cpu.lss";
+  liberty::core::lss::Elaborator(reg()).elaborate(
+      liberty::core::lss::parse_file(path), nl);
+  nl.finalize();
+  DurableConfig dcfg;
+  dcfg.dir = dir;
+  dcfg.resume = resume;
+  dcfg.kill_at = kill_at;
+  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 100), dcfg);
+  return sup.run(100000);
+}
+
+// The pipeline stages' latches and their shared CoreState are state: a run
+// killed mid-program resumes to the uninterrupted halt cycle and digests.
+TEST(DurableCrash, StructuralCpuResumesMidProgram) {
+  TempDir ref_dir;
+  const RecoveryReport full = cpu_run(ref_dir.path, false);
+  ASSERT_TRUE(full.completed) << full.summary();
+  EXPECT_EQ(full.cycles, 732u);
+
+  TempDir dir;
+  expect_killed([&] { (void)cpu_run(dir.path, false, 300); });
+  const RecoveryReport resumed = cpu_run(dir.path, true);
+  ASSERT_TRUE(resumed.completed) << resumed.summary();
+  EXPECT_EQ(resumed.cycles, 732u);
+  EXPECT_EQ(resumed.trace_digest(), full.trace_digest());
+  EXPECT_EQ(resumed.state_digest, full.state_digest);
 }
 
 // ---------------------------------------------------------------------------

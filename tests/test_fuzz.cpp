@@ -5,11 +5,17 @@
 // under the `fuzz` CTest label.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "liberty/ccl/ccl.hpp"
+#include "liberty/ccl/flit.hpp"
+#include "liberty/core/fault.hpp"
+#include "liberty/core/module.hpp"
 #include "liberty/core/scheduler.hpp"
+#include "liberty/pcl/payloads.hpp"
 #include "liberty/resil/fault_plan.hpp"
 #include "liberty/scenario/rack.hpp"
 #include "liberty/support/error.hpp"
@@ -406,6 +412,96 @@ TEST(OracleEnsemble, CandidateThatDivergesBeforeItThrowsIsADivergence) {
   EXPECT_EQ(r.divergences.front().candidate.kind, SchedulerKind::Static);
   EXPECT_EQ(r.divergences.front().first_divergent_cycle, 10u)
       << r.report();
+}
+
+/// Offers one payload every cycle into its `out` port: a MemReq write
+/// (`kind` "memreq") or a Flit with an integer body (`kind` "flit").
+class PayloadSource final : public liberty::core::Module {
+ public:
+  PayloadSource(const std::string& name, const liberty::core::Params& p)
+      : Module(name),
+        out_(add_out("out", 0, 1)),
+        flit_(p.get_string("kind", "memreq") == "flit") {}
+
+  void cycle_start(liberty::core::Cycle c) override {
+    const auto word = static_cast<std::int64_t>(c * 3);
+    if (flit_) {
+      out_.send(Value::make<liberty::ccl::Flit>(c, 0, 1, c, 0, true, true,
+                                                Value(word)));
+    } else {
+      out_.send(Value::make<liberty::pcl::MemReq>(
+          liberty::pcl::MemReq::Op::Write, c % 64, word, c));
+    }
+  }
+  void declare_deps(liberty::core::Deps& deps) const override {
+    deps.state_only(out_);
+  }
+
+ private:
+  liberty::core::Port& out_;
+  bool flit_;
+};
+
+/// Corrupts only the data a describe() rendering leaves out: a MemReq's
+/// write data, a Flit's body.  The mapping is stateless, so the oracle's
+/// concurrent simulators may share it.
+class DataOnlyCorruption final : public liberty::core::FaultHook {
+ public:
+  void filter_forward(const liberty::core::Connection&,
+                      liberty::Tristate& enable, Value& data) override {
+    if (!liberty::asserted(enable)) return;
+    if (const auto req = data.try_as<liberty::pcl::MemReq>()) {
+      data = Value::make<liberty::pcl::MemReq>(req->op, req->addr,
+                                               req->data + 1, req->tag);
+    } else if (const auto f = data.try_as<liberty::ccl::Flit>()) {
+      auto g = std::make_shared<liberty::ccl::Flit>(*f);
+      g->body = Value(f->body.as_int() + 1);
+      data = Value(std::shared_ptr<const liberty::Payload>(std::move(g)));
+    }
+  }
+};
+
+// Digests fold payload fields, so the oracle sees corrupted data carried
+// by the fabric even where describe() renders the payload unchanged; the
+// bisect pins the first corrupted transfer.
+TEST(Oracle, CustomHookCorruptingOnlyPayloadDataIsCaught) {
+  liberty::core::ModuleRegistry reg;
+  liberty::pcl::register_pcl(reg);
+  reg.register_template(
+      "test.payload_source", "offers a MemReq or Flit every cycle",
+      [](const std::string& name, const liberty::core::Params& p) {
+        return std::make_unique<PayloadSource>(name, p);
+      });
+  DataOnlyCorruption hook;
+  for (const char* kind : {"memreq", "flit"}) {
+    NetSpec spec;
+    spec.modules.push_back({"test.payload_source", "src",
+                            params({{"kind", Value(std::string(kind))}})});
+    spec.modules.push_back({"pcl.sink", "snk", {}});
+    spec.edges.push_back({0, "out", 1, "in"});
+    spec.cycles = 100;
+    OracleConfig cfg;
+    cfg.candidates = {{SchedulerKind::Static, 0, 0}};
+    cfg.candidate_fault_hook = &hook;
+    const OracleResult r = run_oracle(spec, reg, cfg);
+    ASSERT_FALSE(r.ok) << kind;
+    ASSERT_EQ(r.divergences.size(), 1u) << r.report();
+    const liberty::testing::Divergence& d = r.divergences.front();
+    EXPECT_EQ(d.candidate.kind, SchedulerKind::Static) << kind;
+    EXPECT_EQ(d.first_divergent_cycle, 0u) << kind << "\n" << d.detail;
+    EXPECT_NE(d.detail.find("first transfer mismatch"), std::string::npos)
+        << d.detail;
+  }
+}
+
+TEST(Oracle, FaultPlanAndCustomHookAreExclusive) {
+  const FaultPlan plan = scheduler_fault("static", 50, 1);
+  DataOnlyCorruption hook;
+  OracleConfig cfg;
+  cfg.fault_plan = &plan;
+  cfg.candidate_fault_hook = &hook;
+  EXPECT_THROW((void)run_oracle(pipeline_spec(), fuzz_registry(), cfg),
+               std::invalid_argument);
 }
 
 /// The structural 5-stage CPU of test_integration as a NetSpec: its stages

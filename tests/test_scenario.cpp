@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "liberty/core/scheduler.hpp"
 #include "liberty/core/simulator.hpp"
 #include "liberty/gen/compiled_scheduler.hpp"
 #include "liberty/obs/metrics.hpp"
@@ -293,6 +294,48 @@ TEST(Scenario, TransfersCommittedOncePerTransfer) {
           EXPECT_TRUE(stream == reference_stream) << label;
         }
       }
+    }
+  }
+}
+
+// The rack has no multi-node SCC, so both analyzed schedulers resolve it
+// hook-free at every opt level, and their work counters equal the hooked
+// dynamic scheduler's.
+TEST(Scenario, AnalyzedSchedulersResolveTheRackHookFree) {
+  const NetSpec spec = liberty::scenario::rack_netspec(tiny_rack());
+  for (const int opt_level : {0, 2}) {
+    const auto build = [&](Netlist& netlist) {
+      spec.build(netlist, rack_registry());
+      liberty::opt::optimize(netlist,
+                             liberty::opt::OptOptions::for_level(opt_level));
+    };
+    Netlist dn;
+    build(dn);
+    Simulator dyn(dn, SchedulerKind::Dynamic);
+    dyn.run(spec.cycles);
+    std::uint64_t static_reacts = 0;
+    for (const SchedulerKind kind :
+         {SchedulerKind::Static, SchedulerKind::Compiled}) {
+      Netlist netlist;
+      build(netlist);
+      Simulator sim(netlist, kind);
+      const auto& a = dynamic_cast<const liberty::core::AnalyzedScheduler&>(
+          sim.scheduler());
+      const std::string label = std::string(a.kind_name()) + " -O" +
+                                std::to_string(opt_level);
+      EXPECT_TRUE(a.hook_free()) << label;
+      sim.run(spec.cycles);
+      EXPECT_EQ(a.cycles_run(), dyn.scheduler().cycles_run()) << label;
+      EXPECT_EQ(a.resolutions(), dyn.scheduler().resolutions()) << label;
+      EXPECT_EQ(a.transfers_committed(),
+                dyn.scheduler().transfers_committed())
+          << label;
+      EXPECT_EQ(a.cleanup_activations(), 0u) << label;
+      EXPECT_EQ(a.fixedpoint_passes(), 0u) << label;
+      EXPECT_EQ(sim.state_digest(), dyn.state_digest()) << label;
+      // Compiled mirrors the static walk react for react.
+      if (kind == SchedulerKind::Static) static_reacts = a.react_calls();
+      EXPECT_EQ(a.react_calls(), static_reacts) << label;
     }
   }
 }

@@ -2,13 +2,17 @@
 // identically under the dynamic and static schedulers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "liberty/ccl/ccl.hpp"
 #include "liberty/core/scheduler.hpp"
 #include "liberty/support/error.hpp"
+#include "liberty/testing/fuzzer.hpp"
 #include "liberty/testing/netspec.hpp"
 #include "liberty/testing/oracle.hpp"
 #include "test_util.hpp"
@@ -150,6 +154,83 @@ TEST(SchedulerEdge, EndOfCycleAuditRejectsUnresolvedConnection) {
   }
   EXPECT_EQ(sched.transfers_committed(), 0u);
   EXPECT_EQ(sched.cycles_run(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Hook-free resolve (AnalyzedScheduler)
+
+liberty::core::ModuleRegistry& fuzz_registry() {
+  static liberty::core::ModuleRegistry r = [] {
+    liberty::core::ModuleRegistry reg;
+    liberty::pcl::register_pcl(reg);
+    liberty::ccl::register_ccl(reg);
+    return reg;
+  }();
+  return r;
+}
+
+/// Run `spec` under `kind`; the simulator's scheduler holds the counters.
+std::unique_ptr<Simulator> run_spec(Netlist& netlist,
+                                    const liberty::testing::NetSpec& spec,
+                                    SchedulerKind kind) {
+  spec.build(netlist, fuzz_registry());
+  auto sim = std::make_unique<Simulator>(netlist, kind);
+  sim->run(spec.cycles);
+  return sim;
+}
+
+// Without a multi-node or self-loop SCC every channel resolves at its own
+// walk step, so the static scheduler drops the per-resolution hooks and
+// counts the constant 2 x connections per cycle: the same totals the
+// hooked dynamic scheduler observes one resolution at a time.
+TEST(SchedulerEdge, AcyclicScheduleResolvesHookFree) {
+  liberty::testing::FuzzConfig acyclic;
+  acyclic.feedback_prob = 0.0;
+  const liberty::testing::NetSpec spec =
+      liberty::testing::generate_netlist(5, acyclic);
+  Netlist dn;
+  const auto dyn = run_spec(dn, spec, SchedulerKind::Dynamic);
+  Netlist sn;
+  const auto st = run_spec(sn, spec, SchedulerKind::Static);
+  const auto& a =
+      dynamic_cast<const liberty::core::AnalyzedScheduler&>(st->scheduler());
+  ASSERT_EQ(a.largest_scc(), 1u) << spec.render();
+  EXPECT_TRUE(a.hook_free());
+  EXPECT_EQ(a.resolutions(),
+            2 * sn.connection_count() * a.cycles_run());
+  EXPECT_EQ(a.resolutions(), dyn->scheduler().resolutions());
+  EXPECT_EQ(a.transfers_committed(), dyn->scheduler().transfers_committed());
+  EXPECT_EQ(a.cleanup_activations(), 0u);
+  EXPECT_EQ(st->state_digest(), dyn->state_digest());
+}
+
+// A multi-node SCC keeps the hooked path: its fixed-point loop detects
+// progress by counting resolutions.  Two funcmaps wired into a ring form a
+// combinational loop no react can start; the SCC endgame defaults it.
+TEST(SchedulerEdge, MultiNodeSccKeepsTheHookedResolve) {
+  liberty::testing::NetSpec spec;
+  spec.modules.push_back({"pcl.source", "src",
+                          params({{"kind", Value(std::string("counter"))},
+                                  {"period", Value(std::int64_t{1})}})});
+  spec.modules.push_back({"pcl.sink", "snk", {}});
+  spec.modules.push_back({"pcl.funcmap", "f1", {}});
+  spec.modules.push_back({"pcl.funcmap", "f2", {}});
+  spec.edges.push_back({0, "out", 1, "in"});
+  spec.edges.push_back({2, "out", 3, "in"});
+  spec.edges.push_back({3, "out", 2, "in"});  // closes the ring
+  spec.cycles = 200;
+  Netlist sn;
+  const auto st = run_spec(sn, spec, SchedulerKind::Static);
+  const auto& a =
+      dynamic_cast<const liberty::core::AnalyzedScheduler&>(st->scheduler());
+  ASSERT_GE(a.largest_scc(), 2u);
+  EXPECT_FALSE(a.hook_free());
+  EXPECT_GT(a.fixedpoint_passes(), 0u);
+  Netlist dn;
+  const auto dyn = run_spec(dn, spec, SchedulerKind::Dynamic);
+  EXPECT_EQ(a.resolutions(), dyn->scheduler().resolutions());
+  EXPECT_EQ(a.transfers_committed(), dyn->scheduler().transfers_committed());
+  EXPECT_EQ(st->state_digest(), dyn->state_digest());
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 // LRISC ISA: assembler, emulator, predictors, cache model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include "liberty/upl/isa.hpp"
 #include "liberty/upl/predictors.hpp"
 #include "liberty/upl/cache.hpp"
@@ -277,6 +281,97 @@ TEST(Predictors, RasIsAStack) {
   ASSERT_TRUE(ras.pop(a));
   EXPECT_EQ(a, 1u);
   EXPECT_FALSE(ras.pop(a));
+}
+
+/// Train `p` on a pseudo-random branch stream over 300 PCs, so its tables
+/// hold every counter value.
+void train(Predictor& p) {
+  std::uint64_t x = 12345;
+  for (int i = 0; i < 5000; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    p.update((x >> 33) % 300, ((x >> 20) & 3) != 0);
+  }
+}
+
+std::vector<liberty::Value> saved(const Predictor& p) {
+  liberty::core::StateWriter w;
+  p.save(w);
+  return std::move(w).take();
+}
+
+// Counter tables snapshot 32 two-bit counters per slot (the partial last
+// word of a non-multiple-of-32 table included) and load back exactly.
+TEST(Predictors, SaveLoadRoundTripIsExactAndPacked) {
+  struct Case {
+    std::unique_ptr<Predictor> trained;
+    std::unique_ptr<Predictor> fresh;
+    std::size_t slots;
+  };
+  std::vector<Case> cases;
+  cases.push_back({std::make_unique<BimodalPredictor>(100),
+                   std::make_unique<BimodalPredictor>(100), 4});
+  cases.push_back({std::make_unique<GSharePredictor>(4096),
+                   std::make_unique<GSharePredictor>(4096), 128 + 1});
+  cases.push_back({std::make_unique<TournamentPredictor>(1024),
+                   std::make_unique<TournamentPredictor>(1024),
+                   32 + (128 + 1) + 32});
+  for (Case& c : cases) {
+    train(*c.trained);
+    const std::vector<liberty::Value> slots = saved(*c.trained);
+    EXPECT_EQ(slots.size(), c.slots) << c.trained->name();
+    liberty::core::StateReader r(slots, c.trained->name());
+    c.fresh->load(r);
+    EXPECT_TRUE(r.exhausted()) << c.trained->name();
+    EXPECT_EQ(liberty::core::digest_slots(saved(*c.fresh)),
+              liberty::core::digest_slots(slots))
+        << c.trained->name();
+    for (std::uint64_t pc = 0; pc < 4096; ++pc) {
+      ASSERT_EQ(c.fresh->predict(pc), c.trained->predict(pc))
+          << c.trained->name() << " pc " << pc;
+    }
+  }
+}
+
+TEST(Predictors, ChangingOneCounterChangesTheDigest) {
+  std::vector<std::uint8_t> table(70);
+  for (std::size_t i = 0; i < table.size(); ++i) table[i] = i % 4;
+  const auto digest = [](const std::vector<std::uint8_t>& t) {
+    liberty::core::StateWriter w(liberty::core::StateWriter::digest_only);
+    detail::save_counters(w, t);
+    return w.digest();
+  };
+  const std::uint64_t base = digest(table);
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    std::vector<std::uint8_t> changed = table;
+    changed[i] = (changed[i] + 1) % 4;
+    EXPECT_NE(digest(changed), base) << "counter " << i;
+  }
+
+  // Through the public interface: one bimodal update moves one counter.
+  BimodalPredictor a(64);
+  BimodalPredictor b(64);
+  b.update(9, true);
+  EXPECT_NE(liberty::core::digest_slots(saved(a)),
+            liberty::core::digest_slots(saved(b)));
+}
+
+TEST(Predictors, BtbSaveLoadRoundTrip) {
+  Btb btb(16);
+  btb.insert(5, 42);
+  btb.insert(30, 7);
+  liberty::core::StateWriter w;
+  btb.save(w);
+  EXPECT_EQ(w.slots().size(), 1u + 2 * 3);  // count, then valid entries
+  Btb back(16);
+  back.insert(1, 99);  // overwritten by the load
+  liberty::core::StateReader r(w.slots(), "btb");
+  back.load(r);
+  std::uint64_t t = 0;
+  ASSERT_TRUE(back.lookup(5, t));
+  EXPECT_EQ(t, 42u);
+  ASSERT_TRUE(back.lookup(30, t));
+  EXPECT_EQ(t, 7u);
+  EXPECT_FALSE(back.lookup(1, t));
 }
 
 // ---------------------------------------------------------------------------
