@@ -19,7 +19,7 @@
 //                             codec throws — the durable layer degrades to
 //                             "no checkpoint this run" with a diagnostic
 //                             rather than writing an unreadable file.
-//   checkpoint format v1      a versioned container: magic, version, body
+//   checkpoint format v2      a versioned container: magic, version, body
 //                             length, netlist topology hash, cycle, stop
 //                             flag, aux seed, per-module slot vectors
 //                             (module Rng state rides in the slots via
@@ -32,6 +32,11 @@
 //                             skewed, or undecodable, any count the
 //                             remaining bytes cannot hold, and payloads
 //                             nested deeper than ByteReader::kMaxNesting.
+//                             v1 has the same bytes, but its trace hashes
+//                             fold payloads by their describe() text where
+//                             v2 folds their fields (Payload::digest): a v1
+//                             file still parses and its state restores, but
+//                             its trace prefix cannot be continued.
 //
 // The topology hash (Netlist::topology_hash) is structural — instance
 // names, endpoint refs, ack modes, quarantine state — deliberately not
@@ -160,17 +165,23 @@ void encode_value(ByteWriter& w, const liberty::Value& v);
 // --- checkpoint container --------------------------------------------------
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x504b434cU;  // "LCKP"
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
+/// The oldest format parse_checkpoint reads (see the v1 note above).
+inline constexpr std::uint32_t kOldestCheckpointVersion = 1;
 
 struct CheckpointImage {
+  /// The format the trace hashes were folded in: set by parse_checkpoint;
+  /// serialize_checkpoint writes only the current one.
+  std::uint32_t version = kCheckpointVersion;
   std::uint64_t topology_hash = 0;  // Netlist::topology_hash() at save
   std::uint64_t aux_seed = 0;       // workload/plan seed echo (diagnostics)
   KernelSnapshot snapshot;          // cycle, stop flag, module slots
   std::vector<std::uint64_t> trace_hashes;  // per-cycle prefix [0, cycle)
 };
 
-/// Serialize to the on-disk v1 format.  Throws SimulationError when a slot
-/// holds a payload with no registered codec.
+/// Serialize to the current on-disk format.  Throws SimulationError when a
+/// slot holds a payload with no registered codec, or when `img` came from
+/// an older format (its trace hashes would be relabelled as current).
 [[nodiscard]] std::string serialize_checkpoint(const CheckpointImage& img);
 
 /// Parse bytes back into `out`.  Returns false with a human-readable

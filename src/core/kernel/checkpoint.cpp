@@ -249,6 +249,11 @@ liberty::Value decode_value(ByteReader& r) {
 //   u32 crc32 over prelude+body                    -- trailer
 
 std::string serialize_checkpoint(const CheckpointImage& img) {
+  if (img.version != kCheckpointVersion) {
+    throw liberty::SimulationError(
+        "cannot re-serialize a v" + std::to_string(img.version) +
+        " checkpoint image: its trace hashes use an older payload fold");
+  }
   ByteWriter w;
   w.put_u32(kCheckpointMagic);
   w.put_u32(kCheckpointVersion);
@@ -291,11 +296,13 @@ bool parse_checkpoint(std::string_view bytes, CheckpointImage& out,
       return false;
     }
     const std::uint32_t version = r.get_u32();
-    if (version != kCheckpointVersion) {
+    if (version < kOldestCheckpointVersion || version > kCheckpointVersion) {
       why = "unsupported format version " + std::to_string(version) +
-            " (this build reads v" + std::to_string(kCheckpointVersion) + ")";
+            " (this build reads v" + std::to_string(kOldestCheckpointVersion) +
+            "-v" + std::to_string(kCheckpointVersion) + ")";
       return false;
     }
+    out.version = version;
     const std::uint64_t body_len = r.get_u64();
     if (bytes.size() != kPrelude + body_len + kTrailer) {
       why = "torn write: file is " + std::to_string(bytes.size()) +

@@ -143,6 +143,13 @@ std::vector<CheckpointCandidate> scan_checkpoints(
     } else if (topology_hash != 0 && img.topology_hash != topology_hash) {
       cand.reason = "topology mismatch (checkpoint belongs to a different "
                     "netlist shape)";
+    } else if (img.version != core::kCheckpointVersion) {
+      // Its state would restore, but the resumed run's trace digest would
+      // mix two payload folds: refuse rather than report a wrong digest.
+      cand.reason = "format v" + std::to_string(img.version) +
+                    " trace hashes fold payloads by describe(); this build "
+                    "(v" + std::to_string(core::kCheckpointVersion) +
+                    ") folds payload fields and cannot continue them";
     } else {
       cand.valid = true;
       cand.cycle = img.snapshot.cycle;  // trust the file over the name

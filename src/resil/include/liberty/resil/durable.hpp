@@ -74,7 +74,8 @@ struct CheckpointCandidate {
 };
 
 /// Scan `dir` for checkpoint files, newest-first, validating each against
-/// `topology_hash` (pass 0 to skip the topology check).  Returns an empty
+/// `topology_hash` (pass 0 to skip the topology check) and rejecting older
+/// formats, whose trace hashes this build cannot continue.  Returns an empty
 /// list for a missing or empty directory.  Never throws.
 [[nodiscard]] std::vector<CheckpointCandidate> scan_checkpoints(
     const std::string& dir, std::uint64_t topology_hash);

@@ -79,12 +79,6 @@ struct OracleConfig {
   /// catch and bisect the induced divergence — the differential
   /// acceptance test for the resil injector.  Must outlive the call.
   const liberty::resil::FaultPlan* fault_plan = nullptr;
-  /// Install this custom hook on every candidate simulator, never the
-  /// reference (coarse and bisect phases alike): a perturbation outside
-  /// the resil fault classes that the oracle must still catch.  The
-  /// simulators run concurrently, so the hook must be a stateless mapping.
-  /// Excludes fault_plan; must outlive the call.
-  liberty::core::FaultHook* candidate_fault_hook = nullptr;
 };
 
 /// The oracle's verdict on one (spec, candidate) divergence.

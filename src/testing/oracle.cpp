@@ -37,14 +37,13 @@ using liberty::resil::FaultPlan;
 constexpr Candidate kReference{SchedulerKind::Dynamic, 0, 0};
 
 /// One simulator as the oracle builds it: the spec elaborated, optimized at
-/// the candidate's level, and the fault plan (or a candidate's custom fault
-/// hook) installed.  Members are destroyed in reverse order, the simulator
-/// first: the injector and the netlist must outlive it (the scheduler's
-/// destructor clears the per-connection hooks).
+/// the candidate's level, and the fault plan installed.  Members are
+/// destroyed in reverse order, the simulator first: the injector and the
+/// netlist must outlive it (the scheduler's destructor clears the
+/// per-connection hooks).
 struct Rig {
   Rig(const NetSpec& spec, const liberty::core::ModuleRegistry& registry,
-      const Candidate& who, const FaultPlan* plan,
-      liberty::core::FaultHook* hook) {
+      const Candidate& who, const FaultPlan* plan) {
     spec.build(netlist, registry);
     if (who.opt_level > 0) {
       liberty::opt::optimize(
@@ -53,7 +52,6 @@ struct Rig {
     if (plan != nullptr) injector = std::make_unique<FaultInjector>(*plan);
     sim = std::make_unique<Simulator>(netlist, who.kind);
     if (injector != nullptr) injector->install(*sim);
-    if (hook != nullptr) sim->set_fault_hook(hook);
   }
 
   Netlist netlist;
@@ -144,8 +142,8 @@ void run_all(std::size_t n, const Job& job) {
 KernelSnapshot snapshot_at(const NetSpec& spec,
                            const liberty::core::ModuleRegistry& registry,
                            const Candidate& who, const FaultPlan* plan,
-                           liberty::core::FaultHook* hook, Cycle at) {
-  Rig replay(spec, registry, who, plan, hook);
+                           Cycle at) {
+  Rig replay(spec, registry, who, plan);
   while (replay.sim->now() < at) replay.sim->step();
   return replay.sim->snapshot();
 }
@@ -156,25 +154,22 @@ KernelSnapshot snapshot_at(const NetSpec& spec,
 Divergence bisect_window(const NetSpec& spec,
                          const liberty::core::ModuleRegistry& registry,
                          const Candidate& cand, std::size_t window,
-                         Cycle every, const OracleConfig& config) {
+                         Cycle every, const FaultPlan* plan) {
   Divergence d;
   d.candidate = cand;
 
   // Lockstep replay must suffer the same faults as the coarse runs did —
   // fault mappings are pure functions of (connection, cycle), so replaying
   // to the boundary and restoring there reproduces them exactly.
-  const FaultPlan* plan = config.fault_plan;
-  Rig ref(spec, registry, kReference, plan, nullptr);
-  Rig other(spec, registry, cand, plan, config.candidate_fault_hook);
+  Rig ref(spec, registry, kReference, plan);
+  Rig other(spec, registry, cand, plan);
   // Each side replays to the boundary on a scratch simulator and restores
   // its own snapshot into the fresh one (their digests agreed there, so
   // the states are equal in content) — this is the restore/replay path the
   // snapshot API exists for.  The replay cost lands only on divergence.
   const Cycle from = static_cast<Cycle>(window) * every;
-  ref.sim->restore(
-      snapshot_at(spec, registry, kReference, plan, nullptr, from));
-  other.sim->restore(snapshot_at(spec, registry, cand, plan,
-                                 config.candidate_fault_hook, from));
+  ref.sim->restore(snapshot_at(spec, registry, kReference, plan, from));
+  other.sim->restore(snapshot_at(spec, registry, cand, plan, from));
   Simulator& sim_ref = *ref.sim;
   Simulator& sim_cand = *other.sim;
 
@@ -279,12 +274,6 @@ OracleResult run_oracle(const NetSpec& spec,
                   Candidate{SchedulerKind::Compiled, 0},
                   Candidate{SchedulerKind::Compiled, 0, /*opt_level=*/2}};
   }
-  if (config.fault_plan != nullptr &&
-      config.candidate_fault_hook != nullptr) {
-    throw std::invalid_argument(
-        "oracle config sets both fault_plan and candidate_fault_hook; a "
-        "connection carries one fault hook");
-  }
   for (const Candidate& cand : candidates) {
     if (cand.threads != 0) {
       throw std::invalid_argument(
@@ -306,9 +295,8 @@ OracleResult run_oracle(const NetSpec& spec,
   std::vector<std::unique_ptr<Rig>> rigs;
   for (std::size_t i = 0; i < order.size(); ++i) {
     try {
-      rigs.push_back(std::make_unique<Rig>(
-          spec, registry, order[i], config.fault_plan,
-          i == 0 ? nullptr : config.candidate_fault_hook));
+      rigs.push_back(std::make_unique<Rig>(spec, registry, order[i],
+                                           config.fault_plan));
     } catch (...) {
       runs[i].error = std::current_exception();
       runs.resize(i + 1);
@@ -355,7 +343,7 @@ OracleResult run_oracle(const NetSpec& spec,
     result.ok = false;
     if (config.bisect) {
       result.divergences.push_back(bisect_window(
-          spec, registry, cand, bad_window, every, config));
+          spec, registry, cand, bad_window, every, config.fault_plan));
     } else {
       const Cycle end = window_end(bad_window, every, spec.cycles);
       Divergence d;

@@ -1,10 +1,11 @@
 // Durable checkpoints and crash recovery (docs/resilience.md, "Durable
-// checkpoints"): the v1 on-disk format (roundtrip, torn-prefix and
+// checkpoints"): the on-disk format (roundtrip, torn-prefix and
 // bit-flip rejection, payload codecs), the DurableSupervisor (atomic
 // spill, retention, resume-with-skip, env-fault injection), the
 // fork+SIGKILL harness proving a killed run resumes bit-identically for
 // every scheduler at -O0 and -O2 (and for the structural CPU spec), the
-// committed golden checkpoint every future build must load, and the
+// committed golden checkpoints every future build must load (and refuse
+// to continue a v1 file's trace from), and the
 // stable resil.supervisor.* metric names.
 #include <gtest/gtest.h>
 #include <sys/types.h>
@@ -275,7 +276,7 @@ TEST(Checkpoint, BitFlipsAreRejected) {
   }
 }
 
-/// A v1 container with a valid CRC around an arbitrary body.
+/// A current-version container with a valid CRC around an arbitrary body.
 std::string craft_checkpoint(
     const std::function<void(liberty::core::ByteWriter&)>& body) {
   liberty::core::ByteWriter w;
@@ -742,64 +743,127 @@ TEST(DurableCrash, StructuralCpuResumesMidProgram) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden checkpoint: a file this build (and every future build) must load.
+// Golden checkpoints: files this build (and every future build) must load.
 
 bool updating_golden() {
   const char* env = std::getenv("LIBERTY_UPDATE_GOLDEN");
   return env != nullptr && env[0] != '\0' && std::string(env) != "0";
 }
 
-TEST(DurableGolden, CommittedCheckpointLoadsForever) {
-  const std::string path =
-      std::string(LIBERTY_REPO_ROOT) + "/tests/golden/checkpoint_v1.lck";
-  constexpr Cycle kHalf = 60;
-  constexpr Cycle kFull = 120;
+std::string golden_path(const char* name) {
+  return std::string(LIBERTY_REPO_ROOT) + "/tests/golden/" + name;
+}
 
-  if (updating_golden()) {
-    const CheckpointImage img = image_after(kHalf);
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << liberty::core::serialize_checkpoint(img);
-    return;
-  }
-
+/// Parse a committed golden checkpoint of durable_spec() at cycle `half`.
+CheckpointImage load_golden(const std::string& path, Cycle half) {
   std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good())
+  EXPECT_TRUE(in.good())
       << path << " is missing; regenerate with LIBERTY_UPDATE_GOLDEN=1";
   std::ostringstream bytes;
   bytes << in.rdbuf();
   CheckpointImage img;
   std::string why;
-  ASSERT_TRUE(liberty::core::parse_checkpoint(bytes.str(), img, why))
+  EXPECT_TRUE(liberty::core::parse_checkpoint(bytes.str(), img, why))
       << "golden checkpoint no longer parses: " << why
       << " — the on-disk format broke compatibility; bump "
-         "kCheckpointVersion and keep the v1 parser";
-
-  // It belongs to today's canonical netlist shape...
+         "kCheckpointVersion and keep the older parsers";
   Netlist nl;
   build_netlist(nl, durable_spec(), 0);
-  ASSERT_EQ(img.topology_hash, nl.topology_hash())
+  EXPECT_EQ(img.topology_hash, nl.topology_hash())
       << "topology hash drifted — golden checkpoints from older builds "
          "would all be rejected";
-  ASSERT_EQ(img.snapshot.cycle, kHalf);
+  EXPECT_EQ(img.snapshot.cycle, half);
+  return img;
+}
 
-  // ...and a run resumed from it is bit-identical to an uninterrupted one.
+constexpr Cycle kGoldenHalf = 60;
+constexpr Cycle kGoldenFull = 120;
+
+/// durable_spec() under static run from `img` to kGoldenFull, with the
+/// image's trace prefix preloaded, beside an uninterrupted reference run.
+struct GoldenResume {
+  std::uint64_t trace = 0, ref_trace = 0;
+  std::uint64_t state = 0, ref_state = 0;
+};
+
+GoldenResume resume_golden(const CheckpointImage& img) {
+  Netlist nl;
+  build_netlist(nl, durable_spec(), 0);
   Simulator sim(nl, SchedulerKind::Static);
   liberty::resil::TraceRecorder rec(nl);
   sim.set_probe(&rec);
   sim.restore(img.snapshot);
   rec.preload(img.trace_hashes);
-  sim.run(kFull - kHalf);
+  sim.run(kGoldenFull - img.snapshot.cycle);
 
   Netlist ref;
   build_netlist(ref, durable_spec(), 0);
   Simulator ref_sim(ref, SchedulerKind::Static);
   liberty::resil::TraceRecorder ref_rec(ref);
   ref_sim.set_probe(&ref_rec);
-  ref_sim.run(kFull);
-  EXPECT_EQ(liberty::resil::fold_trace(rec.hashes()),
-            liberty::resil::fold_trace(ref_rec.hashes()));
-  EXPECT_EQ(sim.snapshot().digest(), ref_sim.snapshot().digest());
+  ref_sim.run(kGoldenFull);
+  return {liberty::resil::fold_trace(rec.hashes()),
+          liberty::resil::fold_trace(ref_rec.hashes()),
+          sim.snapshot().digest(), ref_sim.snapshot().digest()};
+}
+
+TEST(DurableGolden, CommittedCheckpointLoadsForever) {
+  const std::string path = golden_path("checkpoint_v2.lck");
+  if (updating_golden()) {
+    // A later format gets a golden file of its own; this one stays.
+    ASSERT_EQ(liberty::core::kCheckpointVersion, 2u);
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << liberty::core::serialize_checkpoint(image_after(kGoldenHalf));
+    return;
+  }
+
+  // It belongs to today's canonical netlist shape, and a run resumed from
+  // it is bit-identical to an uninterrupted one.
+  const CheckpointImage img = load_golden(path, kGoldenHalf);
+  ASSERT_FALSE(HasFailure());
+  EXPECT_EQ(img.version, 2u);
+  const GoldenResume r = resume_golden(img);
+  EXPECT_EQ(r.trace, r.ref_trace);
+  EXPECT_EQ(r.state, r.ref_state);
+}
+
+// checkpoint_v1.lck was written when trace hashes folded payloads by their
+// describe() text.  Its module state still restores exactly, but its trace
+// prefix does not continue under today's fold, so a resume refuses it with
+// that reason and starts fresh instead of reporting a mixed trace digest.
+TEST(DurableGolden, V1CheckpointRestoresStateButItsTraceIsRefused) {
+  const std::string path = golden_path("checkpoint_v1.lck");
+  const CheckpointImage img = load_golden(path, kGoldenHalf);
+  ASSERT_FALSE(HasFailure());
+  EXPECT_EQ(img.version, 1u);
+  const GoldenResume r = resume_golden(img);
+  EXPECT_EQ(r.state, r.ref_state);
+  EXPECT_NE(r.trace, r.ref_trace) << "the v1 fold matches today's; the "
+                                     "version bump is not needed";
+  EXPECT_THROW((void)liberty::core::serialize_checkpoint(img),
+               liberty::SimulationError);
+
+  TempDir dir;
+  fs::copy_file(path, fs::path(dir.path) / "ckpt-000000000060.lck");
+  Netlist nl;
+  build_netlist(nl, durable_spec(), 0);
+  const std::vector<CheckpointCandidate> found =
+      liberty::resil::scan_checkpoints(dir.path, nl.topology_hash());
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_FALSE(found[0].valid);
+  EXPECT_NE(found[0].reason.find("format v1 trace hashes"), std::string::npos)
+      << found[0].reason;
+
+  DurableConfig dcfg;
+  dcfg.dir = dir.path;
+  dcfg.resume = true;
+  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 1000), dcfg);
+  const RecoveryReport rep = sup.run(kGoldenFull);
+  ASSERT_TRUE(rep.completed) << rep.summary();
+  EXPECT_EQ(sup.stats().resumes, 0u);
+  EXPECT_EQ(sup.stats().corrupt_skipped, 1u);
+  EXPECT_EQ(rep.trace_digest(), r.ref_trace);
 }
 
 // ---------------------------------------------------------------------------

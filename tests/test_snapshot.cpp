@@ -3,27 +3,33 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "liberty/ccl/ccl.hpp"
 #include "liberty/ccl/flit.hpp"
+#include "liberty/core/checkpoint.hpp"
 #include "liberty/core/state.hpp"
 #include "liberty/mpl/messages.hpp"
+#include "liberty/mpl/mpl.hpp"
 #include "liberty/nil/ethernet.hpp"
+#include "liberty/nil/nil.hpp"
 #include "liberty/opt/optimizer.hpp"
 #include "liberty/support/error.hpp"
 #include "liberty/testing/netspec.hpp"
 #include "liberty/upl/mem_protocol.hpp"
 #include "liberty/upl/pipeline.hpp"
+#include "liberty/upl/upl.hpp"
 #include "test_util.hpp"
 
 namespace {
 
 using liberty::SimulationError;
 using liberty::Value;
+using liberty::core::ByteReader;
+using liberty::core::ByteWriter;
 using liberty::core::Connection;
 using liberty::core::Cycle;
 using liberty::core::KernelSnapshot;
@@ -163,128 +169,114 @@ std::uint64_t value_digest(const Value& v) {
   return liberty::digest_value(liberty::kFnv1aInit, v);
 }
 
-/// Every field of a payload type feeds its digest: equal payloads built
-/// independently digest equal, and changing any single field (one mutator
-/// each) changes the digest.
-template <typename T>
-void expect_every_field_counts(const char* name, const T& base,
-                               const std::vector<std::function<void(T&)>>& mutators) {
-  const auto digest = [](const T& p) {
-    return value_digest(Value(std::shared_ptr<const liberty::Payload>(
-        std::make_shared<const T>(p))));
-  };
-  const std::uint64_t h = digest(base);
-  EXPECT_EQ(digest(T(base)), h) << name;
-  for (std::size_t i = 0; i < mutators.size(); ++i) {
-    T changed = base;
-    mutators[i](changed);
-    EXPECT_NE(digest(changed), h) << name << " field " << i;
-  }
+/// Links every in-tree payload codec (registration rides the component
+/// libraries' register_*() entry points).
+void register_payload_codecs() {
+  static const bool once = [] {
+    liberty::core::ModuleRegistry r;
+    liberty::pcl::register_pcl(r);
+    liberty::ccl::register_ccl(r);
+    liberty::mpl::register_mpl(r);
+    liberty::nil::register_nil(r);
+    liberty::upl::register_upl(r);
+    return true;
+  }();
+  (void)once;
 }
 
-TEST(PayloadDigest, EveryFieldOfEveryInTreePayloadCounts) {
+std::string encoded(const Value& v) {
+  ByteWriter w;
+  liberty::core::encode_value(w, v);
+  return std::move(w).take();
+}
+
+/// A payload's fold sees every field its checkpoint codec writes.  Flip
+/// each bit of the payload's encoding in turn and decode what still
+/// decodes whole: the digest must change exactly when the re-encoded
+/// bytes do, so a codec field the fold leaves out fails here.  The plain
+/// decode builds an equal payload independently; it must digest equal.
+void expect_fold_follows_codec(const char* name, const Value& v) {
+  const std::string bytes = encoded(v);
+  const std::uint64_t h = value_digest(v);
+  ByteReader plain(bytes);
+  EXPECT_EQ(value_digest(liberty::core::decode_value(plain)), h) << name;
+
+  std::size_t moved = 0;
+  for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    std::string flipped = bytes;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    Value back;
+    try {
+      ByteReader r(flipped);
+      back = liberty::core::decode_value(r);
+      if (r.remaining() != 0) continue;
+    } catch (const liberty::Error&) {
+      continue;  // no longer a whole value
+    }
+    const bool bytes_moved = encoded(back) != bytes;
+    moved += bytes_moved ? 1 : 0;
+    EXPECT_EQ(value_digest(back) != h, bytes_moved)
+        << name << ": bit " << bit % 8 << " of byte " << bit / 8 << " of "
+        << bytes.size();
+  }
+  EXPECT_GT(moved, 0u) << name;
+}
+
+TEST(PayloadDigest, FoldFollowsEveryInTreeCodec) {
+  register_payload_codecs();
   using liberty::pcl::MemReq;
-  expect_every_field_counts<MemReq>(
-      "pcl.memreq", MemReq(MemReq::Op::Write, 64, 1, 3),
-      {[](MemReq& m) { m.op = MemReq::Op::Read; },
-       [](MemReq& m) { m.addr = 65; }, [](MemReq& m) { m.data = 2; },
-       [](MemReq& m) { m.tag = 4; }});
-  using liberty::pcl::MemResp;
-  expect_every_field_counts<MemResp>(
-      "pcl.memresp", MemResp(3, 7, true),
-      {[](MemResp& m) { m.tag = 4; }, [](MemResp& m) { m.data = 8; },
-       [](MemResp& m) { m.was_write = false; }});
-  using liberty::pcl::Stamped;
-  expect_every_field_counts<Stamped>(
-      "pcl.stamped", Stamped(Value(std::int64_t{5}), 10),
-      {[](Stamped& m) { m.inner = Value(std::int64_t{6}); },
-       [](Stamped& m) { m.born = 11; }});
-  using liberty::ccl::Flit;
-  expect_every_field_counts<Flit>(
-      "ccl.flit", Flit(1, 2, 3, 4, 0, true, false, Value(std::int64_t{9})),
-      {[](Flit& f) { f.packet = 5; }, [](Flit& f) { f.src = 6; },
-       [](Flit& f) { f.dst = 7; }, [](Flit& f) { f.born = 8; },
-       [](Flit& f) { f.vc = 1; }, [](Flit& f) { f.head = false; },
-       [](Flit& f) { f.tail = true; }, [](Flit& f) { f.hops = 1; },
-       [](Flit& f) { f.body = Value(std::int64_t{10}); }});
+  expect_fold_follows_codec("pcl.memreq",
+                            Value::make<MemReq>(MemReq::Op::Write, 64, 1, 3));
+  expect_fold_follows_codec("pcl.memresp",
+                            Value::make<liberty::pcl::MemResp>(3, 7, true));
+  expect_fold_follows_codec(
+      "pcl.stamped",
+      Value::make<liberty::pcl::Stamped>(
+          Value::make<MemReq>(MemReq::Op::Read, 8, 2, 5), 10));
+  expect_fold_follows_codec(
+      "ccl.flit", Value::make<liberty::ccl::Flit>(
+                      1, 2, 3, 4, 1, true, false, Value(std::int64_t{9})));
   using liberty::mpl::CohMsg;
-  expect_every_field_counts<CohMsg>(
-      "mpl.cohmsg", CohMsg(CohMsg::Type::Data, 64, 1, 2, 3, {1, 2}, false),
-      {[](CohMsg& m) { m.type = CohMsg::Type::WbData; },
-       [](CohMsg& m) { m.line = 68; }, [](CohMsg& m) { m.src = 4; },
-       [](CohMsg& m) { m.dst = 5; }, [](CohMsg& m) { m.tag = 6; },
-       [](CohMsg& m) { m.words[1] = 3; },
-       [](CohMsg& m) { m.words.push_back(0); },
-       [](CohMsg& m) { m.exclusive = true; }});
-  using liberty::mpl::DmaChunk;
-  expect_every_field_counts<DmaChunk>(
-      "mpl.dmachunk", DmaChunk(1, 64, {5, 6}, 9, false),
-      {[](DmaChunk& d) { d.dst_node = 2; }, [](DmaChunk& d) { d.dst_addr = 65; },
-       [](DmaChunk& d) { d.words[0] = 7; }, [](DmaChunk& d) { d.xfer_id = 10; },
-       [](DmaChunk& d) { d.last = true; }});
-  using liberty::nil::EthFrame;
-  expect_every_field_counts<EthFrame>(
-      "nil.ethframe", EthFrame(1, 2, {3, 4}, 0xabcd),
-      {[](EthFrame& f) { f.src_mac = 5; }, [](EthFrame& f) { f.dst_mac = 6; },
-       [](EthFrame& f) { f.payload[1] = 7; }, [](EthFrame& f) { f.fcs = 0; }});
+  expect_fold_follows_codec(
+      "mpl.cohmsg",
+      Value::make<CohMsg>(CohMsg::Type::Data, 64, 1, 2, 3,
+                          std::vector<std::int64_t>{1, 2}, true));
+  expect_fold_follows_codec(
+      "mpl.dmachunk", Value::make<liberty::mpl::DmaChunk>(
+                          1, 64, std::vector<std::int64_t>{5, 6}, 9, true));
+  expect_fold_follows_codec(
+      "nil.ethframe", Value::make<liberty::nil::EthFrame>(
+                          1, 2, std::vector<std::int64_t>{3, 4}, 0xabcd));
   using liberty::upl::LineReq;
-  expect_every_field_counts<LineReq>(
-      "upl.linereq", LineReq(LineReq::Kind::Writeback, 64, 3, 1, {8, 9}),
-      {[](LineReq& q) { q.kind = LineReq::Kind::Fetch; },
-       [](LineReq& q) { q.line = 68; }, [](LineReq& q) { q.tag = 4; },
-       [](LineReq& q) { q.requester = 2; },
-       [](LineReq& q) { q.words[0] = 1; }});
-  using liberty::upl::LineResp;
-  expect_every_field_counts<LineResp>(
-      "upl.lineresp", LineResp(64, 3, 1, {8, 9}, false),
-      {[](LineResp& q) { q.line = 68; }, [](LineResp& q) { q.tag = 4; },
-       [](LineResp& q) { q.requester = 2; },
-       [](LineResp& q) { q.words[1] = 1; },
-       [](LineResp& q) { q.exclusive = true; }});
-  using liberty::upl::InstrToken;
-  InstrToken tok;
-  tok.pc = 1;
-  tok.seq = 2;
-  tok.epoch = 3;
-  tok.instr = {liberty::upl::Op::Add, 1, 2, 3, 4};
-  tok.pred_target = 5;
-  tok.a = 6;
-  tok.b = 7;
-  tok.result.value = 8;
-  tok.result.mem_addr = 9;
-  tok.result.target = 10;
-  expect_every_field_counts<InstrToken>(
-      "upl.instr", tok,
-      {[](InstrToken& t) { t.pc = 11; }, [](InstrToken& t) { t.seq = 12; },
-       [](InstrToken& t) { t.epoch = 13; },
-       [](InstrToken& t) { t.instr.op = liberty::upl::Op::Sub; },
-       [](InstrToken& t) { t.instr.rd = 5; },
-       [](InstrToken& t) { t.instr.rs1 = 6; },
-       [](InstrToken& t) { t.instr.rs2 = 7; },
-       [](InstrToken& t) { t.instr.imm = 14; },
-       [](InstrToken& t) { t.pred_taken = true; },
-       [](InstrToken& t) { t.pred_target = 15; },
-       [](InstrToken& t) { t.a = 16; }, [](InstrToken& t) { t.b = 17; },
-       [](InstrToken& t) { t.result.value = 18; },
-       [](InstrToken& t) { t.result.mem_addr = 19; },
-       [](InstrToken& t) { t.result.taken = true; },
-       [](InstrToken& t) { t.result.target = 20; },
-       [](InstrToken& t) { t.result.writes_reg = true; },
-       [](InstrToken& t) { t.result.halts = true; },
-       [](InstrToken& t) { t.result.out = 0; }});
-  using liberty::upl::Resolution;
-  Resolution res;
-  res.branch_pc = 1;
-  res.branch_seq = 2;
-  res.target = 3;
-  expect_every_field_counts<Resolution>(
-      "upl.resolution", res,
-      {[](Resolution& q) { q.branch_pc = 4; },
-       [](Resolution& q) { q.branch_seq = 5; },
-       [](Resolution& q) { q.taken = true; },
-       [](Resolution& q) { q.target = 6; },
-       [](Resolution& q) { q.mispredicted = true; },
-       [](Resolution& q) { q.is_conditional = true; }});
+  expect_fold_follows_codec(
+      "upl.linereq",
+      Value::make<LineReq>(LineReq::Kind::Writeback, 64, 3, 1,
+                           std::vector<std::int64_t>{8, 9}));
+  expect_fold_follows_codec(
+      "upl.lineresp",
+      Value::make<liberty::upl::LineResp>(
+          64, 3, 1, std::vector<std::int64_t>{8, 9}, true));
+  auto tok = std::make_shared<liberty::upl::InstrToken>();
+  tok->pc = 1;
+  tok->seq = 2;
+  tok->epoch = 3;
+  tok->instr = {liberty::upl::Op::Add, 1, 2, 3, 4};
+  tok->pred_taken = true;
+  tok->pred_target = 5;
+  tok->a = 6;
+  tok->b = 7;
+  tok->result = {8, 9, true, 10, true, true, 11};
+  expect_fold_follows_codec(
+      "upl.instr", Value(std::shared_ptr<const liberty::Payload>(tok)));
+  auto res = std::make_shared<liberty::upl::Resolution>();
+  res->branch_pc = 1;
+  res->branch_seq = 2;
+  res->taken = true;
+  res->target = 3;
+  res->mispredicted = true;
+  res->is_conditional = true;
+  expect_fold_follows_codec(
+      "upl.resolution", Value(std::shared_ptr<const liberty::Payload>(res)));
 }
 
 // Two payload types with equal field words still digest apart (each fold
