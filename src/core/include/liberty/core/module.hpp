@@ -156,8 +156,9 @@ class Module {
     return stats_;
   }
 
-  /// Current cycle (valid during simulation hooks).
-  [[nodiscard]] Cycle now() const noexcept { return now_; }
+  /// Current cycle (valid during simulation hooks): the cycle its
+  /// netlist's scheduler is running, or last ran; 0 outside a netlist.
+  [[nodiscard]] Cycle now() const noexcept { return *now_; }
 
   /// Ask the simulator to stop after the current cycle completes.
   void request_stop() noexcept;
@@ -175,11 +176,12 @@ class Module {
 
  private:
   friend class Netlist;
-  friend class SchedulerBase;
+
+  static constexpr Cycle kNoCycle = 0;
 
   std::string name_;
   ModuleId id_ = 0;
-  Cycle now_ = 0;
+  const Cycle* now_ = &kNoCycle;  // the netlist's cycle once added to one
   Netlist* netlist_ = nullptr;
   std::vector<std::unique_ptr<Port>> ports_;
   liberty::StatSet stats_;

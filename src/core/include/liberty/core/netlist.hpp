@@ -137,6 +137,7 @@ class Netlist {
 
   bool finalized_ = false;
   bool stop_flag_ = false;
+  Cycle cycle_ = 0;  // set by run_cycle; every module's now() reads it
   std::vector<std::unique_ptr<Module>> modules_;
   std::unordered_map<std::string, Module*> by_name_;
   std::vector<std::unique_ptr<Connection>> conns_;

@@ -137,6 +137,10 @@ inline constexpr std::uint64_t kDefaultIterationCap = 1'000'000;
 
 class SchedulerBase : public ResolveHooks {
  public:
+  /// Called once per committed transfer, in connection-id order.  An
+  /// observer reads only the connection it is handed: the end-of-cycle
+  /// walk commits and resets each connection in turn, so connections with
+  /// lower ids are already reset and higher ones not yet committed.
   using TransferObserver = std::function<void(const Connection&, Cycle)>;
   /// Introspection-counter visitor (see visit_counters).
   using CounterVisitor =
@@ -230,15 +234,12 @@ class SchedulerBase : public ResolveHooks {
   /// Phase seams: run_cycle delegates the cycle_start and end_of_cycle
   /// sweeps to these virtuals so a backend with its own per-module
   /// schedule (the compiled scheduler's start/commit tapes) can replace
-  /// the generic loops.  `cycle_` is valid when they run; overrides must
-  /// preserve the base loops' observable behaviour exactly (now_ stamping,
-  /// quarantine and elide skips).
+  /// the generic loops.  `cycle_` is valid when they run, and run_cycle
+  /// has already set the netlist's cycle that Module::now() reads;
+  /// overrides must preserve the base loops' observable behaviour exactly
+  /// (quarantined and elided modules' hooks never run).
   virtual void start_phase();
   virtual void update_phase();
-
-  /// Module::now_ is private with SchedulerBase as its friend; friendship
-  /// does not extend to subclasses, so phase overrides stamp through this.
-  static void set_now(Module& m, Cycle c) noexcept { m.now_ = c; }
 
   /// Record a channel resolution (SCC convergence and the counters read
   /// the per-cycle count).
@@ -328,6 +329,10 @@ class SchedulerBase : public ResolveHooks {
   // sweep commits transfers in connection-id order by walking it.
   std::vector<Module*> module_tape_;
   std::vector<Connection*> conn_tape_;
+  // The modules whose cycle_start/end_of_cycle the base phase loops call:
+  // module_tape_ less quarantined and elided modules, fixed at
+  // construction like the flags it is built from.
+  std::vector<Module*> live_modules_;
 
   // This cycle's resolutions, reacts and defaults.
   detail::ResolveCtx ctx_;

@@ -31,6 +31,7 @@ Module& Netlist::add(std::unique_ptr<Module> m) {
   }
   m->id_ = modules_.size();
   m->netlist_ = this;
+  m->now_ = &cycle_;
   by_name_.emplace(m->name(), m.get());
   modules_.push_back(std::move(m));
   return *modules_.back();

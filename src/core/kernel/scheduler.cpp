@@ -253,10 +253,12 @@ SchedulerBase::SchedulerBase(Netlist& netlist) : netlist_(netlist) {
   plan_ = netlist.opt_plan();
   if (plan_ != nullptr) chain_state_.resize(plan_->chains.size());
   quarantined_.assign(netlist.module_count(), 0);
-  for (const Module* m : module_tape_) {
+  for (Module* m : module_tape_) {
     if (netlist.is_quarantined(m->id())) {
       quarantined_[m->id()] = 1;
       any_quarantined_ = true;
+    } else if (!module_elided(m->id())) {
+      live_modules_.push_back(m);
     }
   }
   install_hooks(this);
@@ -468,6 +470,7 @@ void SchedulerBase::run_cycle(Cycle cycle) {
 
   if (plan_ != nullptr) apply_consts();
 
+  netlist_.cycle_ = cycle;  // what Module::now() reads this cycle
   start_phase();
   if (probe != nullptr) end_phase(SchedPhase::CycleStart);
 
@@ -488,16 +491,17 @@ void SchedulerBase::run_cycle(Cycle cycle) {
   if (probe != nullptr) end_phase(SchedPhase::Update);
 
   // Commit in tape (= connection id) order so observer streams are
-  // identical across schedulers, then clear every channel for the next cycle.
+  // identical across schedulers, clearing each channel for the next cycle
+  // once its observers have seen it.
   std::uint64_t committed = 0;
   for (Connection* c : conn_tape_) {
-    if (!c->transferred()) continue;
-    c->note_transfer();
-    for (const auto& obs : observers_) obs(*c, cycle);
-    ++committed;
+    if (c->transferred()) {
+      c->note_transfer();
+      for (const auto& obs : observers_) obs(*c, cycle);
+      ++committed;
+    }
+    c->reset_channels();
   }
-
-  for (Connection* c : conn_tape_) c->reset_channels();
 
   total_resolutions_ += ctx_.resolutions;
   transfers_committed_ += committed;
@@ -520,23 +524,12 @@ void SchedulerBase::run_cycle(Cycle cycle) {
 }
 
 void SchedulerBase::start_phase() {
-  const bool opt = plan_ != nullptr;
   const Cycle cycle = cycle_;
-  for (Module* m : module_tape_) {
-    m->now_ = cycle;
-    if (any_quarantined_ && quarantined_[m->id()] != 0) continue;
-    if (opt && plan_->elided[m->id()] != 0) continue;  // dead logic
-    m->cycle_start(cycle);
-  }
+  for (Module* m : live_modules_) m->cycle_start(cycle);
 }
 
 void SchedulerBase::update_phase() {
-  const bool opt = plan_ != nullptr;
-  for (Module* m : module_tape_) {
-    if (any_quarantined_ && quarantined_[m->id()] != 0) continue;
-    if (opt && plan_->elided[m->id()] != 0) continue;
-    m->end_of_cycle();
-  }
+  for (Module* m : live_modules_) m->end_of_cycle();
 }
 
 // ---------------------------------------------------------------------------

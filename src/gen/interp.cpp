@@ -36,14 +36,7 @@ inline void react_as(core::detail::ResolveCtx& ctx, core::Module& m) {
 
 }  // namespace
 
-void CompiledScheduler::start_phase() {
-  // The base loop stamps now_ on every module, including ones whose hooks
-  // are skipped (quarantined, elided, or a kind with no cycle_start): any
-  // hook that does run later this cycle must observe the current cycle.
-  const core::Cycle cycle = cycle_;
-  for (core::Module* m : module_tape_) set_now(*m, cycle);
-  exec(program_.start);
-}
+void CompiledScheduler::start_phase() { exec(program_.start); }
 
 void CompiledScheduler::resolve_cycle() {
   exec(program_.resolve);
