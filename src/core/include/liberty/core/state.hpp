@@ -147,6 +147,9 @@ class StateReader {
   [[nodiscard]] double get_real() { return get().as_real(); }
   [[nodiscard]] const std::string& get_string() { return get().as_string(); }
 
+  /// The module whose slots these are (for restore diagnostics).
+  [[nodiscard]] const std::string& who() const noexcept { return who_; }
+
   [[nodiscard]] bool exhausted() const noexcept {
     return next_ == slots_.size();
   }

@@ -8,8 +8,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <string>
-#include <unordered_map>
 
 #include "liberty/core/module.hpp"
 #include "liberty/core/params.hpp"
@@ -57,7 +57,9 @@ class MemoryArray : public liberty::core::Module {
   std::uint64_t latency_;
   std::size_t mshrs_;
   std::size_t ports_;
-  std::unordered_map<std::uint64_t, std::int64_t> store_;
+  // Ordered by address, so save_state walks it in its canonical order
+  // without a per-call copy and sort.
+  std::map<std::uint64_t, std::int64_t> store_;
   std::deque<Pending> pending_;
 
   // Resolved-once stat handles (see StatSet::bind).

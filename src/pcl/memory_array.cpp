@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "liberty/pcl/payloads.hpp"
 #include "liberty/support/error.hpp"
@@ -78,13 +77,8 @@ void MemoryArray::end_of_cycle() {
 }
 
 void MemoryArray::save_state(liberty::core::StateWriter& w) const {
-  // The backing store is an unordered_map; serialize sorted by address so
-  // equal stores digest identically regardless of insertion history.
-  std::vector<std::pair<std::uint64_t, std::int64_t>> cells(store_.begin(),
-                                                            store_.end());
-  std::sort(cells.begin(), cells.end());
-  w.put_size(cells.size());
-  for (const auto& [addr, data] : cells) {
+  w.put_size(store_.size());
+  for (const auto& [addr, data] : store_) {
     w.put_u64(addr);
     w.put_i64(data);
   }
@@ -101,7 +95,7 @@ void MemoryArray::load_state(liberty::core::StateReader& r) {
   const std::size_t cells = r.get_size();
   for (std::size_t i = 0; i < cells; ++i) {
     const std::uint64_t addr = r.get_u64();
-    store_[addr] = r.get_i64();
+    store_.insert_or_assign(store_.end(), addr, r.get_i64());
   }
   pending_.clear();
   const std::size_t n = r.get_size();

@@ -211,6 +211,10 @@ void DurableSupervisor::on_run_start(RecoveryReport& rep) {
   const std::uint64_t topo = netlist_.topology_hash();
   const std::vector<CheckpointCandidate> candidates =
       scan_checkpoints(durable_.dir, topo);
+  // A restore that throws part way has already loaded the modules before
+  // the one that refused its slots; put the fresh state back before the
+  // next candidate, or before starting fresh.
+  const core::KernelSnapshot fresh = sim_->snapshot();
   for (const CheckpointCandidate& cand : candidates) {
     if (!cand.valid) {
       ++stats_.corrupt_skipped;
@@ -231,6 +235,7 @@ void DurableSupervisor::on_run_start(RecoveryReport& rep) {
     try {
       sim_->restore(img.snapshot);
     } catch (const liberty::Error& e) {
+      sim_->restore(fresh);
       ++stats_.corrupt_skipped;
       note(&rep, "resume: skipped " + fs::path(cand.path).filename().string() +
                      ": restore failed: " + e.what());

@@ -1,6 +1,8 @@
 #include "liberty/upl/cache.hpp"
 
-#include <unordered_map>
+#include <algorithm>
+#include <string>
+#include <utility>
 
 #include "liberty/pcl/payloads.hpp"
 #include "liberty/upl/mem_protocol.hpp"
@@ -22,22 +24,25 @@ using liberty::pcl::MemResp;
 CacheModel::CacheModel(std::size_t sets, std::size_t ways,
                        std::size_t line_words, Replacement repl,
                        std::uint64_t seed)
-    : sets_(sets),
-      ways_(ways),
-      line_words_(line_words),
-      repl_(repl),
-      rng_(seed),
-      lines_(sets, std::vector<Line>(ways)) {
+    : sets_(sets), ways_(ways), line_words_(line_words), repl_(repl),
+      rng_(seed) {
   if (sets == 0 || ways == 0 || line_words == 0) {
     throw liberty::ElaborationError(
         "cache geometry must be nonzero (sets/ways/line_words)");
   }
+  if (ways > lines_.max_size() / sets) {
+    throw liberty::ElaborationError("cache geometry overflows: " +
+                                    std::to_string(sets) + " sets x " +
+                                    std::to_string(ways) + " ways");
+  }
+  lines_.resize(sets * ways);
 }
 
 CacheModel::Line* CacheModel::lookup(std::uint64_t addr, bool touch) {
-  auto& set = lines_[set_of(addr)];
+  Line* const set = set_begin(addr);
   const std::uint64_t tag = tag_of(addr);
-  for (auto& line : set) {
+  for (std::size_t w = 0; w < ways_; ++w) {
+    Line& line = set[w];
     if (line.valid && line.tag == tag) {
       if (touch && repl_ == Replacement::Lru) line.stamp = ++clock_;
       return &line;
@@ -47,27 +52,27 @@ CacheModel::Line* CacheModel::lookup(std::uint64_t addr, bool touch) {
 }
 
 const CacheModel::Line* CacheModel::lookup(std::uint64_t addr) const {
-  const auto& set = lines_[set_of(addr)];
+  const Line* const set = set_begin(addr);
   const std::uint64_t tag = tag_of(addr);
-  for (const auto& line : set) {
-    if (line.valid && line.tag == tag) return &line;
+  for (std::size_t w = 0; w < ways_; ++w) {
+    if (set[w].valid && set[w].tag == tag) return &set[w];
   }
   return nullptr;
 }
 
 CacheModel::Line& CacheModel::victim(std::uint64_t addr) {
-  auto& set = lines_[set_of(addr)];
-  for (auto& line : set) {
-    if (!line.valid) return line;
+  Line* const set = set_begin(addr);
+  for (std::size_t w = 0; w < ways_; ++w) {
+    if (!set[w].valid) return set[w];
   }
   if (repl_ == Replacement::Random) {
-    return set[rng_.below(set.size())];
+    return set[rng_.below(ways_)];
   }
   // LRU and FIFO both evict the minimum stamp; they differ in when the
   // stamp refreshes (lookup vs fill).
-  Line* best = &set.front();
-  for (auto& line : set) {
-    if (line.stamp < best->stamp) best = &line;
+  Line* best = set;
+  for (std::size_t w = 1; w < ways_; ++w) {
+    if (set[w].stamp < best->stamp) best = &set[w];
   }
   return *best;
 }
@@ -92,28 +97,52 @@ bool CacheModel::invalidate(std::uint64_t addr) {
 void CacheModel::save(liberty::core::StateWriter& w) const {
   w.put_u64(clock_);
   liberty::core::save_rng(w, rng_);
-  for (const auto& set : lines_) {
-    for (const Line& line : set) {
-      w.put_bool(line.valid);
-      w.put_bool(line.dirty);
-      w.put_u64(line.tag);
-      w.put_u64(line.stamp);
-      w.put_i64(line.meta);
-    }
+  std::size_t live = 0;
+  for (const Line& line : lines_) live += line.valid ? 1 : 0;
+  w.put_size(live);
+  for (std::size_t i = 0; i < lines_.size(); ++i) {
+    const Line& line = lines_[i];
+    if (!line.valid) continue;
+    w.put_size(i);
+    w.put_bool(line.dirty);
+    w.put_u64(line.tag);
+    w.put_u64(line.stamp);
+    w.put_i64(line.meta);
   }
 }
 
 void CacheModel::load(liberty::core::StateReader& r) {
   clock_ = r.get_u64();
   liberty::core::load_rng(r, rng_);
-  for (auto& set : lines_) {
-    for (Line& line : set) {
-      line.valid = r.get_bool();
-      line.dirty = r.get_bool();
-      line.tag = r.get_u64();
-      line.stamp = r.get_u64();
-      line.meta = r.get_i64();
+  std::fill(lines_.begin(), lines_.end(), Line{});
+  const std::size_t live = r.get_size();
+  if (live > lines_.size()) {
+    throw liberty::SimulationError(
+        "cache restore in module '" + r.who() + "': " + std::to_string(live) +
+        " valid ways saved, the cache has " + std::to_string(lines_.size()));
+  }
+  std::size_t next = 0;  // the smallest index the next way may carry
+  for (std::size_t k = 0; k < live; ++k) {
+    const std::size_t i = r.get_size();
+    if (i >= lines_.size()) {
+      throw liberty::SimulationError(
+          "cache restore in module '" + r.who() + "': way index " +
+          std::to_string(i) + " out of range (" +
+          std::to_string(lines_.size()) + " ways)");
     }
+    if (i < next) {
+      throw liberty::SimulationError(
+          "cache restore in module '" + r.who() + "': way index " +
+          std::to_string(i) + " after " + std::to_string(next - 1) +
+          " (indices must be strictly increasing)");
+    }
+    next = i + 1;
+    Line& line = lines_[i];
+    line.valid = true;
+    line.dirty = r.get_bool();
+    line.tag = r.get_u64();
+    line.stamp = r.get_u64();
+    line.meta = r.get_i64();
   }
 }
 
@@ -127,16 +156,6 @@ CacheModel::Replacement replacement_from_string(const std::string& s) {
 // ---------------------------------------------------------------------------
 // CacheModule
 // ---------------------------------------------------------------------------
-
-namespace {
-/// Per-line cached data lives beside the tag array.
-using LineData = std::unordered_map<std::uint64_t, std::vector<std::int64_t>>;
-}  // namespace
-
-// Stored out-of-line to keep the header light.
-struct CacheModuleState {
-  LineData data;
-};
 
 CacheModule::CacheModule(const std::string& name, const Params& params)
     : Module(name),
@@ -157,7 +176,6 @@ CacheModule::CacheModule(const std::string& name, const Params& params)
     throw liberty::ElaborationError(
         "upl.cache: only write-allocate is implemented");
   }
-  line_data_ = std::make_shared<CacheModuleState>();
 }
 
 void CacheModule::cycle_start(Cycle c) {
@@ -182,7 +200,7 @@ void CacheModule::cycle_start(Cycle c) {
 void CacheModule::handle_cpu_request(const liberty::Value& v) {
   const auto req = v.as<MemReq>();
   stats().counter("accesses").inc();
-  auto& data = line_data_->data;
+  auto& data = line_data_;
 
   if (CacheModel::Line* line = model_.lookup(req->addr)) {
     stats().counter("hits").inc();
@@ -233,7 +251,7 @@ void CacheModule::end_of_cycle() {
 
   if (mem_resp_.transferred()) {
     const auto fill = mem_resp_.data().as<LineResp>();
-    auto& data = line_data_->data;
+    auto& data = line_data_;
     // Install, evicting (and writing back) a victim if necessary.
     CacheModel::Line& way = model_.victim(fill->line);
     if (way.valid) {
@@ -276,6 +294,65 @@ void CacheModule::end_of_cycle() {
     }
   }
   stats().accumulator("mshr_occupancy").add(static_cast<double>(mshrs_.size()));
+}
+
+void CacheModule::save_state(liberty::core::StateWriter& w) const {
+  model_.save(w);
+  w.put_size(line_data_.size());
+  for (const auto& [line, words] : line_data_) {
+    w.put_u64(line);
+    w.put_size(words.size());
+    for (const std::int64_t word : words) w.put_i64(word);
+  }
+  w.put_size(mshrs_.size());
+  for (const Mshr& m : mshrs_) {
+    w.put_u64(m.line);
+    w.put_u64(m.tag);
+    w.put_size(m.waiters.size());
+    for (const liberty::Value& v : m.waiters) w.put(v);
+  }
+  w.put_size(resp_queue_.size());
+  for (std::size_t i = 0; i < resp_queue_.size(); ++i) {
+    w.put(resp_queue_[i]);
+    w.put_u64(resp_ready_[i]);
+  }
+  w.put_size(memq_.size());
+  for (const liberty::Value& v : memq_) w.put(v);
+  w.put_u64(next_fill_tag_);
+}
+
+void CacheModule::load_state(liberty::core::StateReader& r) {
+  model_.load(r);
+  line_data_.clear();
+  const std::size_t lines = r.get_size();
+  for (std::size_t i = 0; i < lines; ++i) {
+    const std::uint64_t line = r.get_u64();
+    std::vector<std::int64_t> words;
+    const std::size_t n = r.get_size();
+    for (std::size_t j = 0; j < n; ++j) words.push_back(r.get_i64());
+    line_data_.insert_or_assign(line_data_.end(), line, std::move(words));
+  }
+  mshrs_.clear();
+  const std::size_t mshrs = r.get_size();
+  for (std::size_t i = 0; i < mshrs; ++i) {
+    Mshr m;
+    m.line = r.get_u64();
+    m.tag = r.get_u64();
+    const std::size_t waiters = r.get_size();
+    for (std::size_t j = 0; j < waiters; ++j) m.waiters.push_back(r.get());
+    mshrs_.push_back(std::move(m));
+  }
+  resp_queue_.clear();
+  resp_ready_.clear();
+  const std::size_t resps = r.get_size();
+  for (std::size_t i = 0; i < resps; ++i) {
+    resp_queue_.push_back(r.get());
+    resp_ready_.push_back(r.get_u64());
+  }
+  memq_.clear();
+  const std::size_t reqs = r.get_size();
+  for (std::size_t i = 0; i < reqs; ++i) memq_.push_back(r.get());
+  next_fill_tag_ = r.get_u64();
 }
 
 void CacheModule::declare_deps(Deps& deps) const {

@@ -10,7 +10,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -75,12 +75,20 @@ class CacheModel {
     return (line.tag * sets_ + set) * line_words_;
   }
 
-  [[nodiscard]] std::vector<Line>& set_lines(std::size_t set) {
-    return lines_[set];
-  }
-
   /// Serialize the array (geometry is structural and not saved) so the
   /// embedding module's save_state can include its cache.
+  ///
+  /// Only valid ways are state.  An invalid way's dirty, tag, stamp and
+  /// meta are dead: lookup tests `valid` before the tag, victim returns the
+  /// first invalid way without reading its fields, fill overwrites every
+  /// field, and the embedders (CacheModule, OoOCore, mpl's DirCache and
+  /// SnoopCache) reach a way only through lookup or victim and test
+  /// `valid` before they read its tag or meta.  So save writes the count
+  /// of valid ways, then for each in (set, way) order its flat index
+  /// set * ways + way, dirty, tag, stamp and meta; load resets every way
+  /// to Line{} first and throws SimulationError on a count above
+  /// sets * ways, an index out of range, or indices that are not strictly
+  /// increasing.
   void save(liberty::core::StateWriter& w) const;
   void load(liberty::core::StateReader& r);
 
@@ -91,7 +99,14 @@ class CacheModel {
   Replacement repl_;
   std::uint64_t clock_ = 0;
   liberty::Rng rng_;
-  std::vector<std::vector<Line>> lines_;
+  std::vector<Line> lines_;  // way w of set s at s * ways_ + w
+
+  [[nodiscard]] Line* set_begin(std::uint64_t addr) noexcept {
+    return lines_.data() + set_of(addr) * ways_;
+  }
+  [[nodiscard]] const Line* set_begin(std::uint64_t addr) const noexcept {
+    return lines_.data() + set_of(addr) * ways_;
+  }
 };
 
 [[nodiscard]] CacheModel::Replacement replacement_from_string(
@@ -115,6 +130,8 @@ class CacheModule : public liberty::core::Module {
   void cycle_start(liberty::core::Cycle c) override;
   void end_of_cycle() override;
   void declare_deps(liberty::core::Deps& deps) const override;
+  void save_state(liberty::core::StateWriter& w) const override;
+  void load_state(liberty::core::StateReader& r) override;
 
   [[nodiscard]] const CacheModel& model() const noexcept { return model_; }
   [[nodiscard]] double miss_rate() const {
@@ -146,7 +163,9 @@ class CacheModule : public liberty::core::Module {
   std::deque<liberty::core::Cycle> resp_ready_;  // earliest delivery cycles
   std::deque<liberty::Value> memq_;              // outgoing memory requests
   std::uint64_t next_fill_tag_ = 1;
-  std::shared_ptr<struct CacheModuleState> line_data_;  // cached line words
+  // The words of every valid line, by line address (ordered, so
+  // save_state walks it as it stands).
+  std::map<std::uint64_t, std::vector<std::int64_t>> line_data_;
 
   void handle_cpu_request(const liberty::Value& v);
 };

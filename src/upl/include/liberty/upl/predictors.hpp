@@ -6,7 +6,9 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,20 +33,47 @@ class Predictor {
 };
 
 namespace detail {
+/// The low two bits of each byte of `x`, packed: byte k's counter lands
+/// at bits 2k..2k+1 of the 16-bit result.
+[[nodiscard]] constexpr std::uint64_t pack_counter_bytes(
+    std::uint64_t x) noexcept {
+  x &= 0x0303030303030303ULL;
+  x = (x | (x >> 6)) & 0x000F000F000F000FULL;   // byte pairs -> nibbles
+  x = (x | (x >> 12)) & 0x000000FF000000FFULL;  // nibble pairs -> bytes
+  return (x | (x >> 24)) & 0xFFFFULL;           // byte pair -> 16 bits
+}
+
 /// Snapshot a 2-bit saturating counter table 32 counters per u64 slot
 /// (low bits first; a partial last word is zero-padded): the tables are
 /// the bulk of a core's state, and every snapshot and digest walks them.
+/// On little-endian hosts each full word is built from four 8-byte loads
+/// of eight counters each; the partial last word, and every word on other
+/// hosts, packs one counter at a time into the same bits.
 inline void save_counters(liberty::core::StateWriter& w,
                           const std::vector<std::uint8_t>& table) {
+  const std::uint8_t* const p = table.data();
+  const std::size_t n = table.size();
+  std::size_t i = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; i + 32 <= n; i += 32) {
+      std::uint64_t word = 0;
+      for (std::size_t k = 0; k < 4; ++k) {
+        std::uint64_t eight = 0;
+        std::memcpy(&eight, p + i + 8 * k, sizeof eight);
+        word |= pack_counter_bytes(eight) << (16 * k);
+      }
+      w.put_u64(word);
+    }
+  }
   std::uint64_t word = 0;
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    word |= static_cast<std::uint64_t>(table[i] & 3U) << (2 * (i % 32));
+  for (; i < n; ++i) {
+    word |= static_cast<std::uint64_t>(p[i] & 3U) << (2 * (i % 32));
     if (i % 32 == 31) {
       w.put_u64(word);
       word = 0;
     }
   }
-  if (table.size() % 32 != 0) w.put_u64(word);
+  if (n % 32 != 0) w.put_u64(word);
 }
 inline void load_counters(liberty::core::StateReader& r,
                           std::vector<std::uint8_t>& table) {

@@ -707,10 +707,11 @@ TEST(DurableCrash, KilledRunResumesBitIdenticalAcrossSchedulers) {
 }
 
 /// examples/specs/cpu.lss, the structural five-stage CPU built from LSS,
-/// under the static scheduler with a spill every 100 cycles, run to its
-/// halt (as `lss_run cpu.lss --scheduler static --checkpoint-every 100`).
+/// under the static scheduler with a spill every `every` cycles, run to its
+/// halt (as `lss_run cpu.lss --scheduler static --checkpoint-every 100`
+/// with the default).
 RecoveryReport cpu_run(const std::string& dir, bool resume,
-                       Cycle kill_at = 0) {
+                       Cycle kill_at = 0, Cycle every = 100) {
   Netlist nl;
   const std::string path =
       std::string(LIBERTY_REPO_ROOT) + "/examples/specs/cpu.lss";
@@ -721,7 +722,7 @@ RecoveryReport cpu_run(const std::string& dir, bool resume,
   dcfg.dir = dir;
   dcfg.resume = resume;
   dcfg.kill_at = kill_at;
-  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, 100), dcfg);
+  DurableSupervisor sup(nl, sup_cfg(SchedulerKind::Static, every), dcfg);
   return sup.run(100000);
 }
 
@@ -736,6 +737,22 @@ TEST(DurableCrash, StructuralCpuResumesMidProgram) {
   TempDir dir;
   expect_killed([&] { (void)cpu_run(dir.path, false, 300); });
   const RecoveryReport resumed = cpu_run(dir.path, true);
+  ASSERT_TRUE(resumed.completed) << resumed.summary();
+  EXPECT_EQ(resumed.cycles, 732u);
+  EXPECT_EQ(resumed.trace_digest(), full.trace_digest());
+  EXPECT_EQ(resumed.state_digest, full.state_digest);
+}
+
+// Killed after its final store has gone through the l1 cache, the CPU
+// resumes with the cache's lines, misses and responses intact.
+TEST(DurableCrash, StructuralCpuResumesWithItsCacheWarm) {
+  TempDir ref_dir;
+  const RecoveryReport full = cpu_run(ref_dir.path, false);
+  ASSERT_TRUE(full.completed) << full.summary();
+
+  TempDir dir;
+  expect_killed([&] { (void)cpu_run(dir.path, false, 722, 10); });
+  const RecoveryReport resumed = cpu_run(dir.path, true, 0, 10);
   ASSERT_TRUE(resumed.completed) << resumed.summary();
   EXPECT_EQ(resumed.cycles, 732u);
   EXPECT_EQ(resumed.trace_digest(), full.trace_digest());

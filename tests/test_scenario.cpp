@@ -1,14 +1,16 @@
 // The flagship rack-scale scenario (liberty::scenario) as a differential
 // test target: cross-scheduler oracle identity over the full multi-library
 // netlist, byte-exact trace replay, mid-flight snapshot/restore,
-// checkpoint/rollback recovery from a NIC-channel fault, and the metrics
-// golden.  docs/scenarios.md is the narrative companion.
+// checkpoint/rollback recovery from a NIC-channel fault, durable
+// checkpoints of cache-bearing racks, and the metrics golden.
+// docs/scenarios.md is the narrative companion.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -22,6 +24,7 @@
 #include "liberty/gen/compiled_scheduler.hpp"
 #include "liberty/obs/metrics.hpp"
 #include "liberty/opt/optimizer.hpp"
+#include "liberty/resil/durable.hpp"
 #include "liberty/resil/fault_plan.hpp"
 #include "liberty/resil/injector.hpp"
 #include "liberty/resil/recovery.hpp"
@@ -459,6 +462,109 @@ TEST(Scenario, NicChannelFaultRecoversViaSupervisor) {
   EXPECT_EQ(rep.trace_digest(), ref.trace_digest());
   EXPECT_EQ(rep.state_digest, ref.state_digest);
   EXPECT_EQ(all_records(netlist, cfg), all_records(ref_netlist, cfg));
+}
+
+// --- Durable checkpoints ------------------------------------------------------
+
+/// A scratch directory removed with everything in it.
+struct ScratchDir {
+  ScratchDir() {
+    char tmpl[] = "/tmp/liberty-rack-durable-XXXXXX";
+    if (::mkdtemp(tmpl) != nullptr) path = tmpl;
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+  std::string path;
+};
+
+struct DurableRackRun {
+  liberty::resil::RecoveryReport report;
+  liberty::resil::DurableStats stats;
+  std::vector<std::string> diagnostics;
+  Cycle resumed_from = 0;
+};
+
+/// tiny_rack() with its OoO riders (directory caches, OoO data caches,
+/// predictor tables, memory arrays) for `cycles` under a durable supervisor
+/// in `dir`: static scheduler, a spill every `every` cycles.
+DurableRackRun durable_rack_run(const std::string& dir, Cycle cycles,
+                                Cycle every, bool resume) {
+  RackConfig cfg = tiny_rack();
+  cfg.with_ooo = true;
+  Netlist netlist;
+  liberty::scenario::rack_netspec(cfg).build(netlist, rack_registry());
+  liberty::resil::SupervisorConfig scfg;
+  scfg.scheduler = SchedulerKind::Static;
+  scfg.checkpoint_every = every;
+  scfg.policy = liberty::resil::RecoveryPolicy::Abort;
+  liberty::resil::DurableConfig dcfg;
+  dcfg.dir = dir;
+  dcfg.keep_last = 8;
+  dcfg.resume = resume;
+  liberty::resil::DurableSupervisor sup(netlist, scfg, dcfg);
+  DurableRackRun out;
+  out.report = sup.run(cycles);
+  out.stats = sup.stats();
+  out.diagnostics = sup.diagnostics();
+  out.resumed_from = sup.resumed_from();
+  return out;
+}
+
+constexpr Cycle kRackHalf = 600;
+constexpr Cycle kRackFull = 1200;
+
+/// Resume `checkpoint` (copied into a fresh directory as the only file)
+/// and run the rack to kRackFull.
+DurableRackRun resume_from_file(const std::string& checkpoint) {
+  ScratchDir dir;
+  std::filesystem::copy_file(
+      checkpoint, std::filesystem::path(dir.path) / "ckpt-000000000600.lck");
+  return durable_rack_run(dir.path, kRackFull, kRackHalf, true);
+}
+
+// A cache-bearing rack resumes from this build's own cycle-600 checkpoint
+// to the uninterrupted digests.  tests/golden/rack_allways_v2.lck is the
+// same rack's cycle-600 checkpoint written by the build before caches
+// saved only their valid ways, when every cache way took five slots
+// whether valid or not.  It parses (the container format did not change)
+// and belongs to today's topology, so only the restore can tell: the
+// resume must refuse it with a diagnostic, start fresh, and still land on
+// the uninterrupted digests, never load the old slots as ways.
+TEST(ScenarioDurable, AllWaysCacheCheckpointIsSkippedWithDiagnostic) {
+  ScratchDir ref_dir;
+  const DurableRackRun full =
+      durable_rack_run(ref_dir.path, kRackFull, kRackHalf, false);
+  ASSERT_TRUE(full.report.completed) << full.report.summary();
+
+  const DurableRackRun own =
+      resume_from_file(ref_dir.path + "/ckpt-000000000600.lck");
+  ASSERT_TRUE(own.report.completed) << own.report.summary();
+  EXPECT_EQ(own.resumed_from, kRackHalf);
+  EXPECT_EQ(own.report.trace_digest(), full.report.trace_digest());
+  EXPECT_EQ(own.report.state_digest, full.report.state_digest);
+
+  // A restore is attempted only on a file the scan accepted, so "restore
+  // failed" also shows the file passed every container check.
+  const DurableRackRun old = resume_from_file(
+      std::string(LIBERTY_REPO_ROOT) + "/tests/golden/rack_allways_v2.lck");
+  ASSERT_TRUE(old.report.completed) << old.report.summary();
+  EXPECT_EQ(old.stats.resumes, 0u);
+  EXPECT_EQ(old.stats.corrupt_skipped, 1u);
+  EXPECT_EQ(old.resumed_from, 0u);
+  bool saw_restore_failure = false;
+  bool saw_fresh = false;
+  for (const auto& d : old.diagnostics) {
+    if (d.find("restore failed") != std::string::npos) {
+      saw_restore_failure = true;
+    }
+    if (d.find("starting fresh") != std::string::npos) saw_fresh = true;
+  }
+  EXPECT_TRUE(saw_restore_failure);
+  EXPECT_TRUE(saw_fresh);
+  EXPECT_EQ(old.report.trace_digest(), full.report.trace_digest());
+  EXPECT_EQ(old.report.state_digest, full.report.state_digest);
 }
 
 // --- Fuzz family ------------------------------------------------------------

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "liberty/upl/isa.hpp"
@@ -355,6 +357,38 @@ TEST(Predictors, ChangingOneCounterChangesTheDigest) {
             liberty::core::digest_slots(saved(b)));
 }
 
+// The word-at-a-time pack writes exactly the words of packing one counter
+// at a time, for full words, partial tails and tables shorter than a word.
+TEST(Predictors, SaveCountersMatchesScalarReference) {
+  const auto reference = [](const std::vector<std::uint8_t>& t) {
+    std::vector<std::uint64_t> words((t.size() + 31) / 32, 0);
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      words[i / 32] |= static_cast<std::uint64_t>(t[i] & 3U) << (2 * (i % 32));
+    }
+    return words;
+  };
+  std::uint64_t x = 99;
+  for (const std::size_t n : {1, 7, 31, 32, 33, 1024, 4101}) {
+    std::vector<std::uint8_t> table(n);
+    for (auto& c : table) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      c = static_cast<std::uint8_t>((x >> 59) & 3U);
+    }
+    liberty::core::StateWriter w;
+    detail::save_counters(w, table);
+    const std::vector<std::uint64_t> want = reference(table);
+    ASSERT_EQ(w.slots().size(), want.size()) << "table size " << n;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(static_cast<std::uint64_t>(w.slots()[k].as_int()), want[k])
+          << "table size " << n << ", word " << k;
+    }
+    std::vector<std::uint8_t> back(n, 0);
+    liberty::core::StateReader r(w.slots(), "table");
+    detail::load_counters(r, back);
+    EXPECT_EQ(back, table) << "table size " << n;
+  }
+}
+
 TEST(Predictors, BtbSaveLoadRoundTrip) {
   Btb btb(16);
   btb.insert(5, 42);
@@ -416,6 +450,145 @@ TEST(CacheModelTest, AddrOfInvertsMapping) {
 TEST(CacheModelTest, GeometryValidation) {
   EXPECT_THROW(CacheModel(0, 1, 1, CacheModel::Replacement::Lru),
                liberty::ElaborationError);
+}
+
+std::uint64_t digest_of(const CacheModel& c) {
+  liberty::core::StateWriter w(liberty::core::StateWriter::digest_only);
+  c.save(w);
+  return w.digest();
+}
+
+std::vector<liberty::Value> saved(const CacheModel& c) {
+  liberty::core::StateWriter w;
+  c.save(w);
+  return std::move(w).take();
+}
+
+/// Two lines in set 0 of a 4-set, 2-way, 4-word LRU cache plus one in
+/// set 1, then the second set-0 line invalidated.
+void warm(CacheModel& c) {
+  c.fill(c.victim(0), 0, false);
+  c.fill(c.victim(16), 16, true);
+  c.fill(c.victim(4), 4, false);
+  c.lookup(0)->meta = 2;
+  ASSERT_TRUE(c.invalidate(16));
+}
+
+/// Run one access stream; record each miss's victim (its line address,
+/// or ~0 for an invalid way).
+std::vector<std::uint64_t> victims(CacheModel& c) {
+  std::vector<std::uint64_t> out;
+  for (const std::uint64_t addr : {32, 48, 0, 64, 20, 36, 80, 4, 96}) {
+    if (c.lookup(addr) != nullptr) continue;
+    CacheModel::Line& way = c.victim(addr);
+    out.push_back(way.valid ? c.addr_of(way, c.set_of(addr)) : ~0ULL);
+    c.fill(way, addr, false);
+  }
+  return out;
+}
+
+// An invalid way's tag, stamp and meta are dead state: they neither move
+// the digest nor, after a save/load round trip, change a victim choice.
+TEST(CacheModelTest, InvalidWaysAreNotState) {
+  CacheModel a(4, 2, 4, CacheModel::Replacement::Lru);
+  CacheModel b(4, 2, 4, CacheModel::Replacement::Lru);
+  warm(a);
+  warm(b);
+  CacheModel::Line& dead = b.victim(16);  // the invalidated way
+  ASSERT_FALSE(dead.valid);
+  dead.tag = 99;
+  dead.stamp = 12345;
+  dead.meta = 2;
+  EXPECT_EQ(digest_of(a), digest_of(b));
+  EXPECT_EQ(saved(a).size(), 5u + 1 + 2 * 5);  // clock, rng, count, 2 ways
+
+  CacheModel a2(4, 2, 4, CacheModel::Replacement::Lru);
+  CacheModel b2(4, 2, 4, CacheModel::Replacement::Lru);
+  const std::vector<liberty::Value> sa = saved(a);
+  const std::vector<liberty::Value> sb = saved(b);
+  liberty::core::StateReader ra(sa, "a");
+  liberty::core::StateReader rb(sb, "b");
+  a2.load(ra);
+  b2.load(rb);
+  EXPECT_TRUE(ra.exhausted());
+  EXPECT_TRUE(rb.exhausted());
+  EXPECT_EQ(digest_of(a2), digest_of(a));
+  EXPECT_EQ(digest_of(b2), digest_of(b));
+
+  // A load replaces every way, including ways valid before it.
+  CacheModel used(4, 2, 4, CacheModel::Replacement::Lru);
+  used.fill(used.victim(8), 8, true);
+  liberty::core::StateReader ru(sa, "used");
+  used.load(ru);
+  EXPECT_EQ(digest_of(used), digest_of(a));
+  const std::vector<std::uint64_t> want = victims(a);
+  EXPECT_EQ(victims(b), want);
+  EXPECT_EQ(victims(a2), want);
+  EXPECT_EQ(victims(b2), want);
+  EXPECT_EQ(digest_of(b2), digest_of(a));
+}
+
+TEST(CacheModelTest, ValidWayFieldsMoveTheDigest) {
+  CacheModel base(4, 2, 4, CacheModel::Replacement::Lru);
+  warm(base);
+  const std::uint64_t d = digest_of(base);
+  const std::vector<void (*)(CacheModel::Line&)> edits = {
+      [](CacheModel::Line& l) { l.dirty = !l.dirty; },
+      [](CacheModel::Line& l) { l.tag += 1; },
+      [](CacheModel::Line& l) { l.stamp += 1; },
+      [](CacheModel::Line& l) { l.meta += 1; },
+      [](CacheModel::Line& l) { l.valid = false; },
+  };
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    CacheModel c(4, 2, 4, CacheModel::Replacement::Lru);
+    warm(c);
+    edits[i](*c.lookup(4, /*touch=*/false));
+    EXPECT_NE(digest_of(c), d) << "edit " << i;
+  }
+}
+
+// A cache's saved ways are checked on load: an oversized count, an index
+// out of range and a repeated index are refused, never installed.
+TEST(CacheModelTest, LoadRejectsMalformedWays) {
+  CacheModel src(4, 2, 4, CacheModel::Replacement::Lru);
+  warm(src);
+  const std::vector<liberty::Value> good = saved(src);
+  constexpr std::size_t kCount = 5;  // after the clock and 4 rng words
+  ASSERT_EQ(good[kCount].as_int(), 2);
+  // The refusal's message, or "" when the slots load.
+  const auto refusal = [](const std::vector<liberty::Value>& slots) {
+    CacheModel c(4, 2, 4, CacheModel::Replacement::Lru);
+    liberty::core::StateReader r(slots, "l1");
+    try {
+      c.load(r);
+    } catch (const liberty::SimulationError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(refusal(good), "");
+
+  std::vector<liberty::Value> oversized = good;
+  oversized[kCount] = liberty::Value(std::int64_t{9});  // 8 ways in all
+  EXPECT_NE(refusal(oversized).find("9 valid ways saved"), std::string::npos);
+
+  std::vector<liberty::Value> out_of_range = good;
+  out_of_range[kCount + 6] = liberty::Value(std::int64_t{8});
+  EXPECT_NE(refusal(out_of_range).find("out of range"), std::string::npos);
+
+  std::vector<liberty::Value> negative = good;
+  negative[kCount + 1] = liberty::Value(std::int64_t{-1});
+  EXPECT_NE(refusal(negative).find("out of range"), std::string::npos);
+
+  std::vector<liberty::Value> repeated = good;
+  repeated[kCount + 6] = good[kCount + 1];
+  EXPECT_NE(refusal(repeated).find("strictly increasing"), std::string::npos);
+  EXPECT_NE(refusal(repeated).find("'l1'"), std::string::npos);
+
+  std::vector<liberty::Value> descending = good;
+  std::swap(descending[kCount + 1], descending[kCount + 6]);
+  EXPECT_NE(refusal(descending).find("strictly increasing"),
+            std::string::npos);
 }
 
 }  // namespace
